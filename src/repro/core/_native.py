@@ -25,17 +25,21 @@ compiles once per machine and toolchain, not once per process; one-line
 logs record whether the compile was skipped (cache hit), performed, or
 failed, and which threading mode was chosen.
 
-Threading: at build time the compiler is probed once (and the result
-memoized) for ``-pthread`` and ``-fopenmp`` support; the first mode that
-links is compiled in (pthread preferred -- its per-call spawn-and-join
-has no persistent state and is therefore fork-safe under the process
-pool, unlike OpenMP's cached thread teams) and the kernels shard their
-trial range into contiguous blocks, one per thread.  Blocks write
-disjoint output rows, so results are bit-identical for every thread
-count.  ``REPRO_NATIVE_THREAD_MODE`` forces a mode (``pthread`` /
-``openmp`` / ``serial``); ``REPRO_NATIVE_THREADS`` sets the default
-thread count (``auto``/``0``/unset means :func:`os.cpu_count`), and
-every wrapper takes an explicit ``n_threads`` override.
+Threading: the first usable mode of ``pthread``, ``openmp`` is compiled
+in (pthread preferred -- its per-call spawn-and-join has no persistent
+state and is therefore fork-safe under the process pool, unlike OpenMP's
+cached thread teams), else serial.  A mode is usable when its cached
+artifact exists or its flag compiles and links in a probe; the ~60 ms
+probe runs only when no cached artifact exists for the mode, so fresh
+pool workers on a warm cache skip it (it was the ``native.load`` layer,
+37% of ``table1_journal``'s wall time, in ``perfbench/results/``).  The
+kernels shard their trial range into contiguous blocks, one per thread.
+Blocks write disjoint output rows, so results are bit-identical for
+every thread count.  ``REPRO_NATIVE_THREAD_MODE`` forces a mode
+(``pthread`` / ``openmp`` / ``serial``); ``REPRO_NATIVE_THREADS`` sets
+the default thread count (``auto``/``0``/unset means
+:func:`os.cpu_count`), and every wrapper takes an explicit
+``n_threads`` override.
 """
 
 from __future__ import annotations
@@ -174,12 +178,15 @@ def _probe_thread_flag(compiler: str, mode: str) -> bool:
     return ok
 
 
-def _threading_mode(compiler: str) -> str:
+def _threading_mode(compiler: str, source: bytes, compiler_version: str) -> str:
     """Pick the threading mode to compile in (memoized per compiler).
 
-    ``REPRO_NATIVE_THREAD_MODE`` forces a mode (still probed, falling
-    back to serial when the flag does not link); otherwise the first of
-    pthread, openmp that probes clean wins, else serial.  Logs the
+    ``REPRO_NATIVE_THREAD_MODE`` forces a mode (falling back to serial
+    when it is unusable); otherwise the first usable of pthread, openmp
+    wins, else serial.  A candidate is usable when its artifact for
+    ``source``/``compiler_version`` is already cached, else when its flag
+    probes clean -- so the probe runs only when no cached artifact exists
+    for the mode, and the choice matches the probe-only order.  Logs the
     chosen mode once.
     """
     cached = _thread_mode_cache.get(compiler)
@@ -195,7 +202,14 @@ def _threading_mode(compiler: str) -> str:
     candidates = (forced,) if forced else ("pthread", "openmp")
     mode = "serial"
     for candidate in candidates:
-        if candidate == "serial" or _probe_thread_flag(compiler, candidate):
+        artifact = os.path.join(
+            _cache_dir(source, compiler_version, candidate), _LIB_BASENAME
+        )
+        if (
+            candidate == "serial"
+            or os.path.exists(artifact)
+            or _probe_thread_flag(compiler, candidate)
+        ):
             mode = candidate
             break
     flags = " ".join(_THREAD_MODE_FLAGS[mode]) or "none"
@@ -286,8 +300,9 @@ def _build() -> Optional[ctypes.CDLL]:
     if compiler is None:
         _logger.warning("native kernels disabled: no system C compiler found")
         return None
-    thread_mode = _threading_mode(compiler)
-    cache_dir = _cache_dir(source, _compiler_version(compiler), thread_mode)
+    version = _compiler_version(compiler)
+    thread_mode = _threading_mode(compiler, source, version)
+    cache_dir = _cache_dir(source, version, thread_mode)
     lib_path = os.path.join(cache_dir, _LIB_BASENAME)
     if os.path.exists(lib_path):
         _logger.debug("native kernel compile skipped: cache hit at %s", lib_path)

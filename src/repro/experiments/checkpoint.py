@@ -927,7 +927,16 @@ def _supervise_pool(
                     list(inflight), timeout=_TICK, return_when=FIRST_COMPLETED
                 )
                 now = time.monotonic()
-                for fut, idx in inflight.items():
+                # Workers take chunks in submission order, so only the
+                # n_jobs oldest unfinished ones can be executing.  A
+                # process pool also reports the chunks queued behind
+                # them as running; their queue wait must not be charged.
+                unfinished = sorted(
+                    (sub_order[idx], fut, idx)
+                    for fut, idx in inflight.items()
+                    if not fut.done()
+                )
+                for _, fut, idx in unfinished[:n_jobs]:
                     if idx not in started and fut.running():
                         started[idx] = now
                 for fut in done:

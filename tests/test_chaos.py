@@ -329,6 +329,26 @@ class TestSupervisedPool:
         assert report.timeouts >= 1
         assert report.errors["k0"].startswith("chunk exceeded")
 
+    def test_chunk_queued_for_a_worker_is_not_started(self):
+        # two workers: the process pool's call queue holds the third
+        # chunk (and reports it running) while the first two execute;
+        # only its own 0.3 s may count against the 0.5 s deadline
+        report = RunReport()
+        out = execute_chunks(
+            [(0.3, i) for i in range(3)],
+            _sleepy,
+            keys=["a", "b", "c"],
+            n_jobs=2,
+            timeout=0.5,
+            retries=0,
+            strict=False,
+            report=report,
+            backoff_base=0.0,
+        )
+        assert out == [0, 1, 2]
+        assert report.timeouts == 0
+        assert not report.quarantined
+
     def test_threads_hang_is_abandoned_and_retried(self):
         # chaos hang on attempt 0 only; the retry (attempt 1) is clean,
         # so the chunk completes even though threads cannot be killed

@@ -43,6 +43,37 @@ if [ -f benchmarks/results/BENCH_fastpath.json ]; then
         benchmarks/results/BENCH_fastpath.json > /dev/null
 fi
 
+echo "== smoke: warm native load runs no compile =="
+# Pool workers are fresh processes: on a warm artifact cache their first
+# native load must reuse the cached library without a threading-flag
+# probe or any other compile-and-link step.
+python -c "from repro.core._native import native_available; native_available()"
+python - <<'EOF'
+import subprocess
+
+run = subprocess.run
+links = []
+
+
+def spy(args, *a, **kw):
+    if "-shared" in args:
+        links.append(list(args))
+    return run(args, *a, **kw)
+
+
+subprocess.run = spy
+from repro.core import _native
+
+if not _native.native_available():
+    print("native kernels unavailable: nothing to check")
+elif _native.native_threading_mode() != "pthread":
+    print("pthread does not link here, so it is re-probed by design")
+else:
+    assert not _native._thread_probe_cache, _native._thread_probe_cache
+    assert not links, f"warm load ran a compile step: {links}"
+    print("warm native load OK: no probe, no link")
+EOF
+
 echo "== perf gate: calibrated smoke bench vs committed baseline =="
 # Re-measures the four hot paths (batched HF/BA/BA-HF, PHF fastpath) at
 # N=4096 and fails when throughput drops beyond the relative threshold.
