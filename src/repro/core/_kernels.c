@@ -2,12 +2,15 @@
  *
  * One call advances a whole batch: trial i reads its alpha-hat draws from
  * row i of `draws` and writes its outputs into row i of `out` (or the
- * i-th slot of the per-trial metric arrays).  Four kernels live here:
+ * i-th slot of the per-trial metric arrays).  Five kernels live here:
  *
  *   repro_hf_batch    -- HF final weights (hold-back 8-ary max-heap)
  *   repro_ba_batch    -- BA final weights (explicit DFS stack)
  *   repro_bahf_batch  -- BA-HF final weights (BA above the threshold,
  *                        the HF heap below it)
+ *   repro_ba_metrics  -- BA / BA-HF machine metrics (complete network):
+ *                        makespan and max final weight per trial, from
+ *                        the same DFS as the two kernels above
  *   repro_phf_metrics -- PHF machine metrics (central phase 1, complete
  *                        network): makespan, collective time/count,
  *                        control messages and max final weight per trial
@@ -294,18 +297,35 @@ static long ba_split_n1(double w1, double w2, long n)
     return (cost_lo <= cost_hi) ? lo : hi;
 }
 
+/* Metrics mode of a BA / BA-HF walk: the per-node clock on the complete
+ * network, a start-time stack `ss` parallel to sw/sn (n + 1 slots), the
+ * HF-job scratch `heap` (n slots) and the trial's makespan and max final
+ * weight, accumulated in `span` and `maxw`. */
+typedef struct {
+    double t_bisect, t_send;
+    double *ss, *heap;
+    double span, maxw;
+} ba_clock;
+
 /* One BA / BA-HF trial.  threshold < 0 means plain BA (nodes stop at
  * size 1); otherwise nodes with (double)n < threshold finish with the
  * HF heap (BA-HF's switch-over).  `sw`/`sn` are caller-provided stack
  * scratch of n + 1 slots each (the DFS never grows past the recursion
- * depth + 1 <= n). */
+ * depth + 1 <= n).  With clk == NULL the leaf weights go to `orow` in
+ * DFS pop order; otherwise the walk times every node as
+ * repro.simulator.fastpath does: both children of a node starting at s
+ * start at (s + t_bisect) + t_send, and an HF job of size m ends after
+ * m-1 bisections, then m-1 sends. */
 static void ba_one(const double *row, double *orow, double w0, long n,
-                   double threshold, double *sw, long *sn)
+                   double threshold, double *sw, long *sn, ba_clock *clk)
 {
     long top = 0, pos = 0, k = 0;
+    double s = 0.0;
 
     sw[top] = w0;
     sn[top] = n;
+    if (clk)
+        clk->ss[top] = 0.0;
     ++top;
     while (top > 0) {
         double w;
@@ -314,18 +334,29 @@ static void ba_one(const double *row, double *orow, double w0, long n,
         --top;
         w = sw[top];
         m = sn[top];
-        if (threshold >= 0.0 && (double)m < threshold) {
-            if (m == 1) {
-                orow[pos++] = w;
-            } else {
-                hf_one(row + k, orow + pos, w, m);
-                k += m - 1;
-                pos += m;
-            }
-            continue;
-        }
-        if (m == 1) {
-            orow[pos++] = w;
+        if (clk)
+            s = clk->ss[top];
+        if (m == 1 || (threshold >= 0.0 && (double)m < threshold)) {
+            double *leaves = clk ? clk->heap : orow + pos;
+            long j;
+
+            if (m > 1)
+                hf_one(row + k, leaves, w, m);
+            else
+                leaves[0] = w;
+            k += m - 1;
+            pos += m;
+            if (!clk)
+                continue;
+            for (j = 1; j < m; ++j)
+                s = s + clk->t_bisect;
+            for (j = 1; j < m; ++j)
+                s = s + clk->t_send;
+            if (s > clk->span)
+                clk->span = s;
+            /* hf_one leaves the held-back maximum in the last slot */
+            if (leaves[m - 1] > clk->maxw)
+                clk->maxw = leaves[m - 1];
             continue;
         }
         {
@@ -340,6 +371,11 @@ static void ba_one(const double *row, double *orow, double w0, long n,
                 w2 = tmp;
             }
             n1 = ba_split_n1(w1, w2, m);
+            if (clk) {
+                s = (s + clk->t_bisect) + clk->t_send;
+                clk->ss[top] = s;
+                clk->ss[top + 1] = s;
+            }
             sw[top] = w2;
             sn[top] = m - n1;
             ++top;
@@ -350,6 +386,8 @@ static void ba_one(const double *row, double *orow, double w0, long n,
     }
 }
 
+/* Weights mode writes row i of `out` from w0[i]; metrics mode
+ * (out == NULL) writes makespan[i] and maxw[i] from the shared *w0. */
 typedef struct {
     const double *draws;
     long stride;
@@ -357,14 +395,17 @@ typedef struct {
     double *out;
     long n;
     double threshold;
+    double t_bisect, t_send;
+    double *makespan, *maxw;
 } ba_ctx;
 
 static void ba_trial_block(void *vctx, long lo, long hi, int *rc)
 {
     ba_ctx *ctx = (ba_ctx *)vctx;
     long n = ctx->n;
-    double *sw = (double *)malloc((size_t)(n + 1) * sizeof(double));
+    double *sw = (double *)malloc((size_t)(3 * n + 2) * sizeof(double));
     long *sn = (long *)malloc((size_t)(n + 1) * sizeof(long));
+    ba_clock clk;
     long i;
 
     if (sw == NULL || sn == NULL) {
@@ -373,25 +414,34 @@ static void ba_trial_block(void *vctx, long lo, long hi, int *rc)
         *rc = -1;
         return;
     }
-    for (i = lo; i < hi; ++i)
-        ba_one(ctx->draws + i * ctx->stride, ctx->out + i * n, ctx->w0[i],
-               n, ctx->threshold, sw, sn);
+    clk.t_bisect = ctx->t_bisect;
+    clk.t_send = ctx->t_send;
+    clk.ss = sw + n + 1;
+    clk.heap = clk.ss + n + 1;
+    for (i = lo; i < hi; ++i) {
+        const double *row = ctx->draws + i * ctx->stride;
+
+        if (ctx->out != NULL) {
+            ba_one(row, ctx->out + i * n, ctx->w0[i], n, ctx->threshold, sw,
+                   sn, NULL);
+            continue;
+        }
+        clk.span = clk.maxw = 0.0;
+        ba_one(row, NULL, *ctx->w0, n, ctx->threshold, sw, sn, &clk);
+        ctx->makespan[i] = clk.span;
+        ctx->maxw[i] = clk.maxw;
+    }
     free(sw);
     free(sn);
 }
 
-static int ba_like_batch(const double *draws, long draws_stride,
-                         const double *w0, double *out, long n_trials,
-                         long n, double threshold, long n_threads)
+int repro_bahf_batch(const double *draws, long draws_stride,
+                     const double *w0, double *out, long n_trials, long n,
+                     double threshold, long n_threads)
 {
-    ba_ctx ctx;
+    ba_ctx ctx = {.draws = draws, .stride = draws_stride, .w0 = w0,
+                  .out = out, .n = n, .threshold = threshold};
 
-    ctx.draws = draws;
-    ctx.stride = draws_stride;
-    ctx.w0 = w0;
-    ctx.out = out;
-    ctx.n = n;
-    ctx.threshold = threshold;
     return for_each_trial_block(ba_trial_block, &ctx, n_trials, n_threads);
 }
 
@@ -399,16 +449,22 @@ int repro_ba_batch(const double *draws, long draws_stride,
                    const double *w0, double *out, long n_trials, long n,
                    long n_threads)
 {
-    return ba_like_batch(draws, draws_stride, w0, out, n_trials, n, -1.0,
-                         n_threads);
+    return repro_bahf_batch(draws, draws_stride, w0, out, n_trials, n, -1.0,
+                            n_threads);
 }
 
-int repro_bahf_batch(const double *draws, long draws_stride,
-                     const double *w0, double *out, long n_trials, long n,
-                     double threshold, long n_threads)
+/* BA (threshold < 0) / BA-HF machine metrics on the complete network:
+ * makespan and max final weight per trial, no weights matrix. */
+int repro_ba_metrics(const double *draws, long draws_stride, long n_trials,
+                     long n, double w0, double threshold, double t_bisect,
+                     double t_send, double *makespan, double *maxw,
+                     long n_threads)
 {
-    return ba_like_batch(draws, draws_stride, w0, out, n_trials, n,
-                         threshold, n_threads);
+    ba_ctx ctx = {.draws = draws, .stride = draws_stride, .w0 = &w0,
+                  .n = n, .threshold = threshold, .t_bisect = t_bisect,
+                  .t_send = t_send, .makespan = makespan, .maxw = maxw};
+
+    return for_each_trial_block(ba_trial_block, &ctx, n_trials, n_threads);
 }
 
 /* ------------------------------------------------------------------ */

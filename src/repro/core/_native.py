@@ -7,12 +7,14 @@ caps them near the scalar loops at large N.  The per-trial loops are a
 few hundred lines of C, so this module compiles :file:`_kernels.c` on
 demand with whatever system compiler is available (``cc``/``gcc``/
 ``clang``) and loads it through :mod:`ctypes` -- no build step, no new
-Python dependency.  It exposes four kernels:
+Python dependency.  It exposes five kernels:
 
 * :func:`hf_batch_native`   -- HF final weights (hold-back 8-ary heap)
 * :func:`ba_batch_native`   -- BA final weights (explicit DFS stack)
 * :func:`bahf_batch_native` -- BA-HF final weights (BA above the
   switch-over threshold, HF below it)
+* :func:`ba_metrics_native` -- BA / BA-HF machine metrics (makespan
+  and max final weight) for the complete-network fastpath
 * :func:`phf_metrics_native` -- PHF machine metrics for the central
   phase-1 / complete-network fastpath
 
@@ -61,6 +63,7 @@ from repro.core.problem import check_alpha
 
 __all__ = [
     "ba_batch_native",
+    "ba_metrics_native",
     "bahf_batch_native",
     "hf_batch_native",
     "native_available",
@@ -268,6 +271,15 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_double,  # threshold
         ctypes.c_long,  # n_threads
     ]
+    lib.repro_ba_metrics.restype = ctypes.c_int
+    lib.repro_ba_metrics.argtypes = [
+        _DOUBLE_P, ctypes.c_long,  # draws, row stride (elements)
+        ctypes.c_long, ctypes.c_long,  # n_trials, n
+        ctypes.c_double, ctypes.c_double,  # w0, threshold (< 0: plain BA)
+        ctypes.c_double, ctypes.c_double,  # t_bisect, t_send
+        _DOUBLE_P, _DOUBLE_P,  # makespan, maxw
+        ctypes.c_long,  # n_threads
+    ]
     lib.repro_phf_metrics.restype = ctypes.c_int
     lib.repro_phf_metrics.argtypes = [
         _DOUBLE_P,  # draws
@@ -409,12 +421,17 @@ def resolve_n_threads(n_threads: Optional[int] = None) -> int:
     return value
 
 
+def _as_c_draws(draws: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    draws_c = np.ascontiguousarray(draws, dtype=np.float64)
+    stride = draws_c.shape[1] if draws_c.ndim == 2 else 0
+    return draws_c, draws_c.shape[0], stride
+
+
 def _as_c_inputs(
     w0: np.ndarray, draws: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    draws_c = np.ascontiguousarray(draws, dtype=np.float64)
+    draws_c, _, stride = _as_c_draws(draws)
     w0_c = np.ascontiguousarray(w0, dtype=np.float64)
-    stride = draws_c.shape[1] if draws_c.ndim == 2 else 0
     return draws_c, w0_c, w0_c.shape[0], stride
 
 
@@ -514,6 +531,35 @@ def bahf_batch_native(
     return out
 
 
+def ba_metrics_native(
+    draws: np.ndarray, n: int, *, w0: float, threshold: Optional[float],
+    t_bisect: float, t_send: float, n_threads: Optional[int] = None,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Run the compiled BA / BA-HF metrics kernel, or return ``None``.
+
+    ``threshold=None`` is plain BA, otherwise the BA-HF switch-over
+    (:func:`repro.core.bahf.bahf_threshold`).  Returns per-trial
+    ``(makespan, max final weight)`` on the complete network.
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    draws_c, n_trials, stride = _as_c_draws(draws)
+    if n < 1 or draws_c.ndim != 2 or stride < n - 1:
+        raise ValueError(f"need n >= 1 and >= n-1 draws per trial, "
+                         f"got n={n}, draws shape {draws_c.shape}")
+    makespan, maxw = np.empty((2, n_trials), dtype=np.float64)
+    rc = lib.repro_ba_metrics(
+        _dptr(draws_c), ctypes.c_long(stride), ctypes.c_long(n_trials),
+        ctypes.c_long(n), ctypes.c_double(w0),
+        ctypes.c_double(-1.0 if threshold is None else threshold),
+        ctypes.c_double(t_bisect), ctypes.c_double(t_send),
+        _dptr(makespan), _dptr(maxw),
+        ctypes.c_long(resolve_n_threads(n_threads)),
+    )
+    return (makespan, maxw) if rc == 0 else None
+
+
 def phf_metrics_native(
     draws: np.ndarray,
     n: int,
@@ -542,9 +588,7 @@ def phf_metrics_native(
     lib = _load()
     if lib is None:
         return None
-    draws_c = np.ascontiguousarray(draws, dtype=np.float64)
-    n_trials = draws_c.shape[0]
-    stride = draws_c.shape[1] if draws_c.ndim == 2 else 0
+    draws_c, n_trials, stride = _as_c_draws(draws)
     makespan = np.empty(n_trials, dtype=np.float64)
     coll_time = np.empty(n_trials, dtype=np.float64)
     coll_n = np.empty(n_trials, dtype=np.int64)

@@ -12,12 +12,13 @@ derived from the bisection-tree structure instead of event replay:
 * **HF** -- a sequential chain on ``P_1``: ``N-1`` bisections then
   ``N-1`` sends.  Timing is trial-independent (one scalar chain per
   call); the ratio comes from ``hf_final_weights_batch``.
-* **BA / BA-HF** -- a level-order frontier sweep (the
-  :func:`~repro.core.batch.ba_final_weights_batch` layout) carrying each
-  node's start time: both children of a node starting at ``s`` start at
-  ``(s + t_bisect) + send_cost`` (the DES serialises the keeper behind
-  the send).  BA-HF hands sub-threshold nodes to vectorised sequential
-  HF-job chains grouped by size.
+* **BA / BA-HF** -- each node carries its start time: both children of
+  a node starting at ``s`` start at ``(s + t_bisect) + send_cost`` (the
+  DES serialises the keeper behind the send), and BA-HF's sub-threshold
+  nodes become sequential HF-job chains.  On the complete network one
+  pass of the compiled DFS of :mod:`repro.core._native` per trial gives
+  the makespan and max weight; on a topology, or without a compiler, a
+  NumPy level-order frontier sweep does (HF jobs grouped by size).
 * **PHF** (central phase 1) -- phase 1 proceeds in generation lockstep
   (every active piece bisects, acquires, ships in
   ``t_bisect + t_acquire + t_send``), phase 2 is the band-peeling round
@@ -247,7 +248,7 @@ def _ba_like(
     initial_weight: float,
     n_threads: Optional[int] = None,
 ):
-    """Shared BA / BA-HF sweep.
+    """Shared BA / BA-HF NumPy sweep (topologies; no-compiler fallback).
 
     ``threshold=None``: plain BA (nodes stop at size 1).  Otherwise:
     nodes with ``size < threshold`` become sequential HF jobs.  Returns
@@ -346,12 +347,22 @@ def _ba_like_result(
     initial_weight: float,
     n_threads: Optional[int] = None,
 ) -> FastpathResult:
+    if n < 1:
+        raise ValueError(f"n_processors must be >= 1, got {n}")
     n_trials = draws.shape[0]
     w0 = float(initial_weight)
-    makespan, maxw, hops_acc = _ba_like(
-        n, draws, config,
-        threshold=threshold, initial_weight=w0, n_threads=n_threads,
+    # The C kernel covers the complete network; topologies stay in NumPy.
+    native = config.topology is None and _native.ba_metrics_native(
+        draws, n, w0=w0, threshold=threshold, t_bisect=config.t_bisect,
+        t_send=config.t_send, n_threads=n_threads,
     )
+    if native:
+        (makespan, maxw), hops_acc = native, _const_int(n_trials, n - 1)
+    else:
+        makespan, maxw, hops_acc = _ba_like(
+            n, draws, config,
+            threshold=threshold, initial_weight=w0, n_threads=n_threads,
+        )
     work_total = (n - 1) * config.t_bisect
     return FastpathResult(
         algorithm=algorithm,

@@ -15,6 +15,8 @@ documented utilisation caveat in the fastpath module).
 import numpy as np
 import pytest
 
+from repro.core import _native
+from repro.core.bahf import bahf_threshold
 from repro.problems import prescribed_problem
 from repro.problems.samplers import BetaAlpha, DiscreteAlpha, FixedAlpha, UniformAlpha
 from repro.simulator import (
@@ -29,6 +31,13 @@ from repro.simulator import (
     simulate_bahf,
     simulate_hf,
     simulate_phf,
+)
+from repro.simulator.fastpath import (
+    _ba_like,
+    fastpath_ba,
+    fastpath_bahf,
+    fastpath_hf,
+    fastpath_phf,
 )
 from repro.utils import SeedSequenceFactory
 
@@ -272,10 +281,19 @@ def test_missing_alpha_raises():
 def test_no_compiler_fallback_bit_identical(algorithm, monkeypatch):
     """With the compiled kernels forced off, every fastpath entry point
     must fall back to NumPy with bit-identical results in all fields."""
+    assert_native_off_identical(algorithm, 65, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 257, 1000])
+@pytest.mark.parametrize("algorithm", ["hf", "ba", "bahf", "phf"])
+def test_no_compiler_fallback_bit_identical_across_n(algorithm, n, monkeypatch):
+    assert_native_off_identical(algorithm, n, monkeypatch)
+
+
+def assert_native_off_identical(algorithm, n, monkeypatch):
     import repro.core._native as native
 
     sampler = UniformAlpha(0.1, 0.5)
-    n = 65
     draws = draw_matrix(sampler, algorithm, n, n_trials=6, seed=777)
     with_native = fastpath_counters(algorithm, n, draws, alpha=sampler.alpha)
 
@@ -298,6 +316,103 @@ def test_no_compiler_fallback_bit_identical(algorithm, monkeypatch):
         assert np.array_equal(
             getattr(with_native, name), getattr(without, name)
         ), f"{algorithm}: {name} differs between native and NumPy engines"
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n, d: fastpath_hf(n, d),
+        lambda n, d: fastpath_ba(n, d),
+        lambda n, d: fastpath_bahf(n, d, alpha=0.1),
+        lambda n, d: fastpath_phf(n, d, alpha=0.1),
+        lambda n, d: fastpath_counters("hf", n, d),
+        lambda n, d: fastpath_counters("ba", n, d),
+        lambda n, d: fastpath_counters("bahf", n, d, alpha=0.1),
+        lambda n, d: fastpath_counters("phf", n, d, alpha=0.1),
+    ],
+    ids=["hf", "ba", "bahf", "phf", "counters-hf", "counters-ba",
+         "counters-bahf", "counters-phf"],
+)
+def test_nonpositive_n_processors_raise(entry, n):
+    with pytest.raises(ValueError, match=f"n_processors must be >= 1, got {n}"):
+        entry(n, np.zeros((2, 0)))
+
+
+# ----------------------------------------------------------------------
+# Native BA / BA-HF metrics kernel vs the NumPy frontier sweep
+# ----------------------------------------------------------------------
+
+NONDYADIC_CONFIGS = [
+    MachineConfig(),
+    MachineConfig(t_bisect=0.3, t_send=0.7),
+    MachineConfig(t_bisect=1.1, t_send=0.1),
+]
+
+
+@pytest.mark.skipif(not _native.native_available(), reason="no system C compiler")
+@pytest.mark.parametrize("lam", [None, 1.0, 2.0], ids=["ba", "bahf-lam1", "bahf-lam2"])
+@pytest.mark.parametrize(
+    "sampler",
+    [UniformAlpha(0.01, 0.5), UniformAlpha(0.1, 0.5), UniformAlpha(0.45, 0.5)],
+    ids=lambda s: s.describe(),
+)
+def test_native_ba_metrics_match_numpy_sweep(sampler, lam):
+    """Makespan and max weight bit-identical to ``_ba_like`` (whose hop
+    count on the complete network is exactly N-1) for every thread count."""
+    threshold = None if lam is None else bahf_threshold(sampler.alpha, lam)
+    for n in [1, 2, 3, 5, 17, 257, 1024, 3000]:
+        draws = draw_matrix(sampler, "ba", n, n_trials=3, seed=70_000 + n)
+        for config in NONDYADIC_CONFIGS:
+            makespan, maxw, hops = _ba_like(
+                n, draws, config, threshold=threshold, initial_weight=1.0
+            )
+            assert (hops == n - 1).all()
+            for n_threads in (1, 2, 7, 64):
+                got = _native.ba_metrics_native(
+                    draws, n, w0=1.0, threshold=threshold,
+                    t_bisect=config.t_bisect, t_send=config.t_send,
+                    n_threads=n_threads,
+                )
+                ctx = f"N={n} {config} threads={n_threads}"
+                assert got[0].tobytes() == makespan.tobytes(), ctx
+                assert got[1].tobytes() == maxw.tobytes(), ctx
+
+
+@pytest.mark.skipif(not _native.native_available(), reason="no system C compiler")
+@pytest.mark.parametrize("threshold", [None, 11.0])
+def test_native_ba_metrics_zero_trials(threshold):
+    makespan, maxw = _native.ba_metrics_native(
+        np.zeros((0, 15)), 16, w0=1.0, threshold=threshold,
+        t_bisect=1.0, t_send=1.0,
+    )
+    assert makespan.shape == maxw.shape == (0,)
+    res = fastpath_counters("ba", 16, np.zeros((0, 15)))
+    assert res.n_trials == 0 and res.total_hops.shape == (0,)
+
+
+@pytest.mark.skipif(not _native.native_available(), reason="no system C compiler")
+@pytest.mark.parametrize("n, shape", [(0, (2, 0)), (-3, (2, 4)), (8, (2, 6)), (8, (7,))])
+def test_native_ba_metrics_rejects_bad_shapes(n, shape):
+    with pytest.raises(ValueError, match="draws per trial"):
+        _native.ba_metrics_native(
+            np.full(shape, 0.3), n, w0=1.0, threshold=None,
+            t_bisect=1.0, t_send=1.0,
+        )
+
+
+@pytest.mark.parametrize("algorithm", ["ba", "bahf"])
+def test_topology_never_calls_native_ba_metrics(algorithm, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("native BA metrics called on a topology")
+
+    monkeypatch.setattr(_native, "ba_metrics_native", refuse)
+    config = MachineConfig(topology=RingTopology, t_hop=0.5)
+    sampler = UniformAlpha(0.1, 0.5)
+    draws = draw_matrix(sampler, algorithm, 24, n_trials=3, seed=80_000)
+    assert_cell_equivalent(
+        algorithm, 24, draws, alpha=sampler.alpha, config=config
+    )
 
 
 # ----------------------------------------------------------------------

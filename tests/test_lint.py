@@ -647,6 +647,7 @@ class TestR110FfiPrototype:
             "repro_hf_batch",
             "repro_ba_batch",
             "repro_bahf_batch",
+            "repro_ba_metrics",
             "repro_phf_metrics",
             "repro_threading_backend",
         }

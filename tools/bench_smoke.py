@@ -2,10 +2,10 @@
 """Quick calibrated smoke benchmark, gating against a committed baseline.
 
 Measures the throughput of the hot paths (batched HF/BA/BA-HF kernels
-and the PHF closed-form fastpath, pinned to one kernel thread, plus a
-multithreaded BA-HF entry at the auto-detected count) at a small scale
-(N = 4096)
-that finishes in seconds, and writes a ``BENCH_*.json``-schema artifact.
+and the PHF and BA closed-form fastpaths, pinned to one kernel thread,
+plus a multithreaded BA-HF entry at the auto-detected count) at a small
+scale (N = 4096) that finishes in seconds, and writes a
+``BENCH_*.json``-schema artifact.
 Each entry is *calibrated* -- the trial count is sized so one
 measurement takes ~``TARGET_SECONDS`` -- and reported as the best of
 ``REPEATS`` runs, which keeps the rates stable enough to gate on with a
@@ -79,17 +79,20 @@ def _entries() -> Dict[str, Callable[[int], None]]:
 
         return run
 
-    def phf_fastpath(n_trials):
-        study_trial_metrics(
-            "phf",
-            N_PROCESSORS,
-            sampler,
-            n_trials=n_trials,
-            seed=SEED,
-            config=MachineConfig(),
-            engine="fastpath",
-            n_threads=1,
-        )
+    def fastpath(algorithm):
+        def run(n_trials):
+            study_trial_metrics(
+                algorithm,
+                N_PROCESSORS,
+                sampler,
+                n_trials=n_trials,
+                seed=SEED,
+                config=MachineConfig(),
+                engine="fastpath",
+                n_threads=1,
+            )
+
+        return run
 
     from repro.core._native import resolve_n_threads
 
@@ -97,7 +100,8 @@ def _entries() -> Dict[str, Callable[[int], None]]:
         "hf_batch": batch("hf"),
         "ba_batch": batch("ba"),
         "bahf_batch": batch("bahf"),
-        "phf_fastpath": phf_fastpath,
+        "phf_fastpath": fastpath("phf"),
+        "ba_fastpath": fastpath("ba"),
         "bahf_batch_mt": batch("bahf", n_threads=resolve_n_threads()),
     }
 

@@ -27,11 +27,17 @@ python -m repro.lint src tests benchmarks examples --whole-program \
     --format "${LINT_FORMAT:-json}"
 
 echo "== smoke: runtime study, both engines =="
-# The fastpath kernels must render the same study as the DES oracle.
+# The fastpath kernels must render the same study as the DES oracle,
+# both with the native kernels and with the NumPy fallback.
 des_out=$(python -m repro.experiments.cli runtime --max-n 32 --engine des)
 fast_out=$(python -m repro.experiments.cli runtime --max-n 32 --engine fastpath)
+numpy_out=$(REPRO_NO_NATIVE=1 python -m repro.experiments.cli runtime --max-n 32 --engine fastpath)
 if [ "$des_out" != "$fast_out" ]; then
     echo "engine mismatch: des and fastpath render different studies" >&2
+    exit 1
+fi
+if [ "$des_out" != "$numpy_out" ]; then
+    echo "engine mismatch: des and the NumPy fastpath (REPRO_NO_NATIVE=1) render different studies" >&2
     exit 1
 fi
 
