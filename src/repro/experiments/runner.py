@@ -55,7 +55,7 @@ from repro.experiments.config import (
     StochasticConfig,
     normalize_backend,
 )
-from repro.experiments.stochastic import _trial_factory, trial_ratios
+from repro.experiments.stochastic import draw_rows, trial_ratios
 from repro.problems.samplers import AlphaSampler
 
 __all__ = [
@@ -225,9 +225,10 @@ def _publish_cell_draws(
         nbytes = config.n_trials * cols * 8
         if used + nbytes > budget:
             continue
-        factory = _trial_factory(algo, n, config.seed)
-        rngs = [factory.generator_for(t) for t in range(config.n_trials)]
-        draws = config.sampler.sample_trial_matrix(rngs, cols)
+        draws = draw_rows(
+            algo, n, config.sampler, seed=config.seed,
+            start=0, stop=config.n_trials, n_draws=cols,
+        )
         if inline:
             blocks[(algo, n)] = (None, draws)
             used += nbytes

@@ -52,7 +52,7 @@ from repro.experiments.config import (
     normalize_engine,
 )
 from repro.experiments.runner import chunk_bounds
-from repro.experiments.stochastic import _trial_factory, normalize_algorithm
+from repro.experiments.stochastic import _trial_factory, draw_rows, normalize_algorithm
 from repro.problems.prescribed import prescribed_problem
 from repro.problems.samplers import AlphaSampler, UniformAlpha
 from repro.problems.synthetic import SyntheticProblem
@@ -188,8 +188,10 @@ def study_trial_metrics(
             "consume draws in a machine-dependent order)"
         )
     if draws is None:
-        rngs = [fac.generator_for(t) for t in range(start, start + n_trials)]
-        draws = sampler.sample_trial_matrix(rngs, max(1, n - 1))
+        draws = draw_rows(
+            key, n, sampler, seed=seed, start=start,
+            stop=start + n_trials, n_draws=max(1, n - 1),
+        )
     elif draws.shape[0] != n_trials:
         raise ValueError(f"draws has {draws.shape[0]} rows for {n_trials} trials")
 
@@ -426,9 +428,9 @@ def run_study_cells(
                 nbytes = n_trials * cols * 8
                 if used + nbytes > budget:
                     continue
-                fac = _trial_factory(akey, n, seed)
-                rngs = [fac.generator_for(t) for t in range(n_trials)]
-                draws = sampler.sample_trial_matrix(rngs, cols)
+                draws = draw_rows(
+                    akey, n, sampler, seed=seed, start=0, stop=n_trials, n_draws=cols
+                )
                 if backend == "threads":
                     # Workers share this address space: hand the matrix
                     # over by reference instead of a shm publish.

@@ -28,11 +28,12 @@ from repro.core.batch import (
 )
 from repro.core.hf import hf_final_weights
 from repro.core.metrics import RatioSample, summarize_ratios
-from repro.problems.samplers import AlphaSampler
+from repro.problems.samplers import AlphaSampler, FixedAlpha
 from repro.utils.rng import SeedSequenceFactory
 
 __all__ = [
     "DrawStream",
+    "draw_rows",
     "normalize_algorithm",
     "trial_ratio",
     "trial_ratios",
@@ -151,6 +152,27 @@ def _trial_factory(algorithm: str, n_processors: int, seed: int) -> SeedSequence
     return SeedSequenceFactory((seed ^ tag) & 0xFFFFFFFFFFFFFFFF)
 
 
+def draw_rows(
+    algorithm: str, n_processors: int, sampler: AlphaSampler, *,
+    seed: int, start: int, stop: int, n_draws: int,
+) -> np.ndarray:
+    """The ``(stop - start, n_draws)`` draw matrix of trials ``start .. stop - 1``.
+
+    Row ``i`` holds the first ``n_draws`` draws of trial ``start + i``'s
+    generator from ``_trial_factory(algorithm, n_processors, seed)`` --
+    the one place every batched caller (sweeps, the runtime study, the
+    service) gets its rows from.  A :class:`FixedAlpha` never reads its
+    generator, so its rows are a constant fill and no generator is built.
+    """
+    if stop <= start:
+        raise ValueError(f"need at least one trial, got [{start}, {stop})")
+    if isinstance(sampler, FixedAlpha):
+        return np.full((stop - start, n_draws), sampler.value, dtype=np.float64)
+    factory = _trial_factory(algorithm, n_processors, seed)
+    rngs = [factory.generator_for(t) for t in range(start, stop)]
+    return sampler.sample_trial_matrix(rngs, n_draws)
+
+
 def trial_ratios(
     algorithm: str,
     n_processors: int,
@@ -198,18 +220,19 @@ def trial_ratios(
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
     if draws is not None and not use_batch:
         raise ValueError("draws= requires use_batch=True (the scalar path samples lazily)")
-    factory = _trial_factory(algorithm, n_processors, seed)
-    trials = range(start, start + n_trials)
     if not use_batch:
+        factory = _trial_factory(algorithm, n_processors, seed)
         out = np.empty(n_trials, dtype=np.float64)
-        for i, t in enumerate(trials):
+        for i, t in enumerate(range(start, start + n_trials)):
             rng = factory.generator_for(t)
             out[i] = trial_ratio(algorithm, n_processors, sampler, rng, lam=lam)
         return out
 
     if draws is None:
-        rngs = [factory.generator_for(t) for t in trials]
-        draws = sampler.sample_trial_matrix(rngs, max(0, n_processors - 1))
+        draws = draw_rows(
+            algorithm, n_processors, sampler, seed=seed, start=start,
+            stop=start + n_trials, n_draws=max(0, n_processors - 1),
+        )
     elif draws.shape[0] != n_trials:
         raise ValueError(
             f"draws has {draws.shape[0]} rows for {n_trials} trials"

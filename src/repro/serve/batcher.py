@@ -1,11 +1,14 @@
 """Micro-batching: many concurrent requests, one kernel call.
 
-Requests arriving within one batching window are grouped by
-``(algorithm, n, sampler, lam)`` and each group is answered by a single
-stacked ``(sum(trials), N-1)`` draw-matrix kernel call.  Row ``i`` of a
-request's slice is drawn from the per-trial generator
-``_trial_factory(algorithm, n, seed).generator_for(i)`` -- exactly what
-:func:`repro.experiments.stochastic.trial_ratios` uses -- so a request's
+No batching window: with no batch in flight, a request is dispatched
+after one event-loop yield (so requests parsed in the same loop turn
+ride along); while a batch is in flight, new requests queue, and when
+it settles the whole queue (up to ``max_requests``) becomes the next
+batch.  A batch's requests are grouped by ``(algorithm, n, sampler,
+lam)`` and each group is answered by a single stacked
+``(sum(trials), N-1)`` draw-matrix kernel call.  A request's rows are
+:func:`repro.experiments.stochastic.draw_rows` -- exactly what
+:func:`~repro.experiments.stochastic.trial_ratios` uses -- so its
 ratios are bit-identical no matter which requests it shared a batch
 with, which faults fired, or whether the degraded path served it.
 
@@ -22,10 +25,12 @@ engine wires three service-level behaviours on top:
 * **hedged retries** -- a batch straggling past the hedge delay gets a
   duplicate inline dispatch; results are deterministic, so whichever
   finishes first answers and the loser is discarded.
-* **deadline propagation** -- the tightest per-request deadline in a
-  batch bounds the kernel attempt runtime inside ``execute_chunks``
-  (the server's ``asyncio`` wait is the backstop that actually emits
-  the 504).
+* **deadline propagation** -- the tightest per-request budget in a
+  batch (the request's deadline, else the server default) bounds each
+  pool kernel attempt inside ``execute_chunks``, so a hung worker is
+  killed and its attempt retried or quarantined instead of holding the
+  queue (the server's ``asyncio`` wait is the backstop that actually
+  emits the 504).
 
 The kernel worker (:func:`_compute_rows`) is module-level and its task
 dicts hold only primitives, frozen samplers and arrays, so process
@@ -49,7 +54,7 @@ from repro.core.batch import (
     hf_final_weights_batch,
 )
 from repro.experiments.checkpoint import execute_chunks
-from repro.experiments.stochastic import _trial_factory
+from repro.experiments.stochastic import draw_rows
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.protocol import PartitionRequest, response_payload
 from repro.serve.report import ServeReport
@@ -97,9 +102,10 @@ def request_draws(request: PartitionRequest) -> np.ndarray:
     ``(algorithm, n, sampler, seed, n_trials)`` consumes -- the anchor of
     the service's determinism guarantee.
     """
-    factory = _trial_factory(request.algorithm, request.n, request.seed)
-    rngs = [factory.generator_for(t) for t in range(request.n_trials)]
-    return request.sampler.sample_trial_matrix(rngs, max(0, request.n - 1))
+    return draw_rows(
+        request.algorithm, request.n, request.sampler, seed=request.seed,
+        start=0, stop=request.n_trials, n_draws=max(0, request.n - 1),
+    )
 
 
 @dataclass
@@ -439,69 +445,46 @@ class BatchEngine:
 
 
 class MicroBatcher:
-    """Collects admitted requests into window-bounded batches."""
+    """One batch in flight: idle dispatch after one loop yield, and the
+    queue (capped at ``max_requests``) as the next batch; no timer."""
 
-    def __init__(
-        self,
-        engine: BatchEngine,
-        *,
-        window_s: float = 0.002,
-        max_requests: int = 64,
-    ) -> None:
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
+    def __init__(self, engine: BatchEngine, *, max_requests: int = 64) -> None:
         if max_requests < 1:
             raise ValueError(f"max_requests must be >= 1, got {max_requests}")
         self.engine = engine
-        self.window_s = window_s
         self.max_requests = max_requests
         self._queue: List[_Pending] = []
-        self._flusher: Optional["asyncio.Task[None]"] = None
-        self._inflight: Set["asyncio.Task[None]"] = set()
+        self._runner: Optional["asyncio.Task[None]"] = None
 
-    def submit(self, request: PartitionRequest) -> "asyncio.Future[Dict[str, Any]]":
-        """Enqueue one request; the returned future settles exactly once."""
+    def submit(
+        self, request: PartitionRequest, budget_s: Optional[float] = None
+    ) -> "asyncio.Future[Dict[str, Any]]":
+        """Enqueue one request; the returned future settles exactly once.
+
+        ``budget_s`` is how long the caller will wait for the answer; it
+        bounds the kernel attempt of the batch the request rides in.
+        """
         loop = asyncio.get_running_loop()
-        deadline_at = (
-            time.monotonic() + request.deadline_s
-            if request.deadline_s is not None
-            else None
-        )
+        deadline_at = time.monotonic() + budget_s if budget_s is not None else None
         item = _Pending(
             request=request, future=loop.create_future(), deadline_at=deadline_at
         )
         self._queue.append(item)
-        if self._flusher is None or self._flusher.done():
-            self._flusher = loop.create_task(self._flush_after_window())
+        if self._runner is None or self._runner.done():
+            self._runner = loop.create_task(self._run())
         return item.future
 
-    async def _flush_after_window(self) -> None:
-        if self.window_s > 0:
-            await asyncio.sleep(self.window_s)
-        loop = asyncio.get_running_loop()
+    async def _run(self) -> None:
+        await asyncio.sleep(0)  # requests parsed in this loop turn join
         while self._queue:
-            batch = self._queue[: self.max_requests]
-            del self._queue[: len(batch)]
-            task = loop.create_task(self.engine.run_batch(batch))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+            # a request that expired while queued has no one to answer
+            batch = [i for i in self._queue[: self.max_requests] if not i.future.done()]
+            del self._queue[: self.max_requests]
+            if batch:
+                await self.engine.run_batch(batch)
 
     async def drain(self) -> None:
-        """Flush the queue and wait for every batch (and loser) to finish."""
-        while self._queue or self._inflight or (
-            self._flusher is not None and not self._flusher.done()
-        ):
-            if self._flusher is not None and not self._flusher.done():
-                await self._flusher
-            if self._queue:
-                # drain must not wait out the window; flush immediately
-                window, self.window_s = self.window_s, 0.0
-                try:
-                    await self._flush_after_window()
-                finally:
-                    self.window_s = window
-            if self._inflight:
-                await asyncio.gather(
-                    *list(self._inflight), return_exceptions=True
-                )
+        """Wait for the queue to empty and every batch (and loser) to finish."""
+        while self._runner is not None and not self._runner.done():
+            await asyncio.wait({self._runner})
         await self.engine.drain_background()

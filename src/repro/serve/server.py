@@ -68,7 +68,6 @@ class ServeConfig:
     workers: int = 1
     backend: str = "processes"
     retries: int = 3
-    window_s: float = 0.002
     max_batch: int = 64
     max_inflight: int = 512
     p99_budget_s: Optional[float] = None
@@ -104,11 +103,7 @@ class PartitionServer:
             chaos_batches=config.chaos_batches if config.chaos else 0,
             hedge_after_s=config.hedge_after_s,
         )
-        self.batcher = MicroBatcher(
-            self.engine,
-            window_s=config.window_s,
-            max_requests=config.max_batch,
-        )
+        self.batcher = MicroBatcher(self.engine, max_requests=config.max_batch)
         self.admission = AdmissionController(
             max_inflight=config.max_inflight,
             p99_budget_s=config.p99_budget_s,
@@ -293,12 +288,12 @@ class PartitionServer:
         self._idle.clear()
         t0 = time.monotonic()
         try:
-            future = self.batcher.submit(request)
             budget = (
                 request.deadline_s
                 if request.deadline_s is not None
                 else self.config.default_deadline_s
             )
+            future = self.batcher.submit(request, budget)
             try:
                 payload = await asyncio.wait_for(future, timeout=budget)
             except asyncio.TimeoutError:
@@ -343,10 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=3, help="kernel attempts per batch group"
     )
     parser.add_argument(
-        "--window-ms", type=float, default=2.0, help="micro-batching window"
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=64, help="requests per batch"
+        "--max-batch", type=int, default=64, help="most requests per batch"
     )
     parser.add_argument(
         "--max-inflight", type=int, default=512,
@@ -394,7 +386,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         workers=args.workers,
         backend=args.backend,
         retries=args.retries,
-        window_s=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         p99_budget_s=(

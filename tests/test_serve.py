@@ -24,12 +24,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.chaos import CHAOS_PROFILES, ChaosConfig, ChaosSpec
 from repro.core.metrics import summarize_ratios
-from repro.experiments.stochastic import trial_ratios
-from repro.problems import FixedAlpha, UniformAlpha
+from repro.experiments.stochastic import _trial_factory, draw_rows, trial_ratios
+from repro.problems import BetaAlpha, DiscreteAlpha, FixedAlpha, UniformAlpha
 from repro.serve.admission import AdmissionController, LatencyWindow
 from repro.serve.batcher import (
     BatchEngine,
@@ -48,6 +49,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.report import ServeReport
 from repro.serve.server import PartitionServer, ServeConfig
+from repro.utils.rng import SeedSequenceFactory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,6 +105,19 @@ async def start_server(**overrides):
     host, port = await server.start()
     drain_task = asyncio.create_task(server.serve_until_drained())
     return server, host, port, drain_task
+
+
+def hold_batches(server):
+    """Gate the server's engine: no batch runs until the event is set."""
+    gate = asyncio.Event()
+    run_batch = server.engine.run_batch
+
+    async def gated(items):
+        await gate.wait()
+        await run_batch(items)
+
+    server.engine.run_batch = gated
+    return gate
 
 
 async def stop_server(server, drain_task):
@@ -203,6 +218,66 @@ class TestProtocol:
             req.algorithm, req.n, req.sampler, n_trials=6, seed=9, draws=draws
         )
         assert (direct == via_draws).all()
+
+
+# ----------------------------------------------------------------------
+# draw rows (the determinism anchor)
+# ----------------------------------------------------------------------
+
+
+def generator_rows(algorithm, n, sampler, *, seed, start, stop, n_draws):
+    """The per-trial-generator rows every caller built before draw_rows."""
+    factory = _trial_factory(algorithm, n, seed)
+    rngs = [factory.generator_for(t) for t in range(start, stop)]
+    return sampler.sample_trial_matrix(rngs, n_draws)
+
+
+SAMPLERS = (
+    UniformAlpha(0.1, 0.5),
+    FixedAlpha(0.3),
+    BetaAlpha(2.0, 5.0),
+    DiscreteAlpha(values=(0.1, 0.3, 0.5)),
+)
+
+
+class TestDrawRows:
+    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("start", (0, 5))
+    @pytest.mark.parametrize("n", (1, 2, 257))
+    def test_bit_identical_to_per_trial_generators(self, sampler, start, n):
+        # both widths in use: N-1 (sweeps, serving) and max(1, N-1)
+        # (the runtime study)
+        for algorithm, n_draws in (("hf", max(0, n - 1)), ("bahf", max(1, n - 1))):
+            rows = draw_rows(
+                algorithm, n, sampler,
+                seed=9, start=start, stop=start + 4, n_draws=n_draws,
+            )
+            expected = generator_rows(
+                algorithm, n, sampler,
+                seed=9, start=start, stop=start + 4, n_draws=n_draws,
+            )
+            assert rows.shape == expected.shape == (4, n_draws)
+            assert rows.dtype == expected.dtype
+            assert rows.tobytes() == expected.tobytes()
+
+    def test_fixed_alpha_builds_no_generator(self, monkeypatch):
+        def no_generator(self, trial):
+            raise AssertionError("a generator was built for FixedAlpha")
+
+        monkeypatch.setattr(SeedSequenceFactory, "generator_for", no_generator)
+        rows = draw_rows(
+            "ba", 64, FixedAlpha(0.25), seed=3, start=5, stop=9, n_draws=63
+        )
+        assert rows.shape == (4, 63) and (rows == 0.25).all()
+        request_draws(make_request(algorithm="bahf", sampler=FixedAlpha(0.25)))
+        trial_ratios("hf", 64, FixedAlpha(0.25), n_trials=4, seed=3)
+
+    @pytest.mark.parametrize("sampler", (FixedAlpha(0.3), UniformAlpha(0.1, 0.5)))
+    def test_rejects_empty_trial_range_and_negative_width(self, sampler):
+        with pytest.raises(ValueError, match="at least one trial"):
+            draw_rows("hf", 8, sampler, seed=0, start=3, stop=3, n_draws=7)
+        with pytest.raises(ValueError):
+            draw_rows("hf", 8, sampler, seed=0, start=0, stop=2, n_draws=-1)
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +485,7 @@ class TestBatchEngine:
             engine_kw.setdefault("report", ServeReport())
             engine_kw.setdefault("backend", "threads")
             engine = BatchEngine(**engine_kw)
-            batcher = MicroBatcher(engine, window_s=0.0)
+            batcher = MicroBatcher(engine)
             futures = [batcher.submit(r) for r in requests]
             results = await asyncio.gather(*futures, return_exceptions=True)
             await batcher.drain()
@@ -455,8 +530,6 @@ class TestBatchEngine:
 
         plain_tasks, split_tasks, slices = asyncio.run(scenario())
         assert len(plain_tasks) == 1 and len(split_tasks) == 2
-        import numpy as np
-
         rejoined = np.concatenate(
             [split_tasks[0]["draws"], split_tasks[1]["draws"]]
         )
@@ -527,6 +600,145 @@ class TestBatchEngine:
 
 
 # ----------------------------------------------------------------------
+# micro-batcher: idle dispatch, queue-as-next-batch
+# ----------------------------------------------------------------------
+
+
+class NoTimerLoop(asyncio.SelectorEventLoop):
+    """An event loop that fails the moment anything arms a timer."""
+
+    def call_at(self, when, callback, *args, context=None):
+        raise AssertionError("a timer was armed")
+
+
+class RecordingEngine:
+    """Engine stub: records each batch's seeds and answers with the seed."""
+
+    def __init__(self):
+        self.batches = []
+
+    async def run_batch(self, items):
+        self.batches.append([item.request.seed for item in items])
+        for item in items:
+            item.future.set_result(item.request.seed)
+
+    async def drain_background(self):
+        pass
+
+
+class GatedEngine(BatchEngine):
+    """The real engine, with its first batch held until ``gate`` is set."""
+
+    def __init__(self, gate):
+        super().__init__(report=ServeReport(), backend="threads")
+        self.gate = gate
+        self.batches = []
+        self.running = 0
+        self.most_running = 0
+
+    async def run_batch(self, items):
+        self.batches.append([item.request.seed for item in items])
+        self.running += 1
+        self.most_running = max(self.most_running, self.running)
+        try:
+            if len(self.batches) == 1:
+                await self.gate.wait()
+            await super().run_batch(items)
+        finally:
+            self.running -= 1
+
+
+async def until(predicate, limit=100):
+    """Yield to the loop until ``predicate()`` holds; return the yields."""
+    for yields in range(1, limit + 1):
+        await asyncio.sleep(0)
+        if predicate():
+            return yields
+    raise AssertionError("condition never held")
+
+
+class TestMicroBatcher:
+    def test_idle_request_dispatches_after_one_yield_without_a_timer(self):
+        async def scenario():
+            engine = RecordingEngine()
+            batcher = MicroBatcher(engine)
+            lone = batcher.submit(make_request(seed=1))
+            assert engine.batches == []  # submit never dispatches inline
+            # one yield runs the batcher's own sleep(0), the next dispatches
+            yields = await until(lambda: engine.batches)
+            assert await lone == 1
+            # requests submitted in the same loop turn share one batch
+            pair = [batcher.submit(make_request(seed=s)) for s in (2, 3)]
+            await asyncio.gather(*pair)
+            await batcher.drain()
+            return engine, yields
+
+        loop = NoTimerLoop()
+        try:
+            engine, yields = loop.run_until_complete(scenario())
+        finally:
+            loop.close()
+        assert yields == 2
+        assert engine.batches == [[1], [2, 3]]
+
+    @pytest.mark.parametrize(
+        "max_requests, sizes", [(8, [1, 4]), (3, [1, 3, 1])]
+    )
+    def test_queue_becomes_the_next_batch(self, max_requests, sizes):
+        requests = [
+            make_request(algorithm=algo, seed=seed)
+            for seed, algo in enumerate(("hf", "ba", "bahf", "hf", "ba"))
+        ]
+
+        async def scenario():
+            gate = asyncio.Event()
+            engine = GatedEngine(gate)
+            batcher = MicroBatcher(engine, max_requests=max_requests)
+            futures = [batcher.submit(requests[0])]
+            await until(lambda: engine.batches)
+            futures += [batcher.submit(r) for r in requests[1:]]
+            for _ in range(10):
+                await asyncio.sleep(0)
+            # nothing overtakes the batch in flight: the rest queue
+            assert engine.batches == [[0]]
+            gate.set()
+            results = await asyncio.gather(*futures)
+            await batcher.drain()
+            return engine, results
+
+        engine, results = asyncio.run(scenario())
+        assert [len(b) for b in engine.batches] == sizes
+        assert sum(engine.batches, []) == [r.seed for r in requests]
+        assert engine.most_running == 1  # batches never overlap
+        size_of = {seed: len(b) for b in engine.batches for seed in b}
+        for req, payload in zip(requests, results):
+            direct = trial_ratios(
+                req.algorithm, req.n, req.sampler,
+                n_trials=req.n_trials, seed=req.seed,
+            )
+            assert payload["ratios"] == summarize_ratios(direct).as_dict()
+            assert payload["batched_with"] == size_of[req.seed]
+
+    def test_request_settled_while_queued_is_not_dispatched(self):
+        async def scenario():
+            gate = asyncio.Event()
+            engine = GatedEngine(gate)
+            batcher = MicroBatcher(engine)
+            first = batcher.submit(make_request(seed=0))
+            await until(lambda: engine.batches)
+            expired = batcher.submit(make_request(seed=1))
+            waiting = batcher.submit(make_request(seed=2))
+            expired.cancel()  # what asyncio.wait_for does on a deadline
+            gate.set()
+            await asyncio.gather(first, waiting)
+            await batcher.drain()
+            return engine
+
+        engine = asyncio.run(scenario())
+        assert engine.batches == [[0], [2]]
+
+
+# ----------------------------------------------------------------------
 # server routes (in-process, no chaos)
 # ----------------------------------------------------------------------
 
@@ -534,7 +746,7 @@ class TestBatchEngine:
 class TestServerRoutes:
     def test_health_stats_and_errors(self):
         async def scenario():
-            server, host, port, drain_task = await start_server(window_s=0.0)
+            server, host, port, drain_task = await start_server()
             out = {}
             out["healthz"] = await http_request(host, port, "/healthz")
             out["readyz"] = await http_request(host, port, "/readyz")
@@ -578,11 +790,10 @@ class TestServerRoutes:
 
     def test_admission_sheds_with_retry_after(self):
         async def scenario():
-            # one slot, and a window long enough that the second request
-            # arrives while the first is still being held back
-            server, host, port, drain_task = await start_server(
-                window_s=0.2, max_inflight=1
-            )
+            # one slot, and a gated engine holds the first request back
+            # until the second has arrived
+            server, host, port, drain_task = await start_server(max_inflight=1)
+            gate = hold_batches(server)
             first = asyncio.create_task(
                 http_request(host, port, body={"n": 16, "trials": 2})
             )
@@ -590,6 +801,7 @@ class TestServerRoutes:
             second = await http_request(
                 host, port, body={"n": 16, "trials": 2, "seed": 1}
             )
+            gate.set()
             first = await first
             await stop_server(server, drain_task)
             return server, first, second
@@ -605,10 +817,12 @@ class TestServerRoutes:
 
     def test_expired_deadline_is_a_504(self):
         async def scenario():
-            server, host, port, drain_task = await start_server(window_s=0.3)
+            server, host, port, drain_task = await start_server()
+            gate = hold_batches(server)
             result = await http_request(
                 host, port, body={"n": 16, "trials": 2, "deadline_ms": 20}
             )
+            gate.set()
             await stop_server(server, drain_task)
             return server, result
 
@@ -617,6 +831,35 @@ class TestServerRoutes:
         assert "deadline" in payload["error"]
         assert server.report.expired == 1
         assert server.report.accounted  # expiry is a terminal outcome
+
+    def test_default_deadline_bounds_the_kernel_attempt(self):
+        """A request without deadline_ms still bounds its kernel attempt
+        by --default-deadline-s, so a hung pool attempt is cut off."""
+
+        async def scenario():
+            server, host, port, drain_task = await start_server(
+                default_deadline_s=2.0
+            )
+            timeouts = []
+            dispatch = server.engine._dispatch_blocking
+
+            def recording(tasks, keys, *, native, timeout, chaos):
+                timeouts.append(timeout)
+                return dispatch(
+                    tasks, keys, native=native, timeout=timeout, chaos=chaos
+                )
+
+            server.engine._dispatch_blocking = recording
+            result = await http_request(
+                host, port, body={"n": 16, "trials": 2}
+            )
+            await stop_server(server, drain_task)
+            return result, timeouts
+
+        (status, _, _), timeouts = asyncio.run(scenario())
+        assert status == 200
+        assert len(timeouts) == 1
+        assert timeouts[0] is not None and 0 < timeouts[0] <= 2.0
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +880,6 @@ class TestChaosEndToEnd:
                 backend="processes",
                 workers=2,
                 retries=3,
-                window_s=0.005,
                 breaker_threshold=2,
                 breaker_reset_s=0.75,
                 chaos=ChaosSpec(config=CHAOS_PROFILES["smoke"], seed=1),
@@ -721,7 +963,7 @@ class TestSigtermDrain:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.serve",
-                "--port", "0", "--window-ms", "1",
+                "--port", "0",
                 "--report", str(report_path),
             ],
             stdout=subprocess.PIPE,
@@ -752,6 +994,8 @@ class TestSigtermDrain:
                 proc.kill()
                 proc.wait()
         stderr = proc.stderr.read()
+        proc.stdout.close()
+        proc.stderr.close()
         assert rc == 0, stderr
         assert "[serve report]" in stderr
         persisted = json.loads(report_path.read_text())

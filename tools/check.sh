@@ -218,7 +218,7 @@ echo "== serve: chaos burst, zero drops, graceful drain =="
 serve_log=$(mktemp)
 serve_report=$(mktemp)
 python -m repro.serve --port 0 --workers 2 --backend processes \
-    --chaos-profile smoke --chaos-batches 3 --window-ms 2 \
+    --chaos-profile smoke --chaos-batches 3 \
     --report "$serve_report" > "$serve_log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 50); do
