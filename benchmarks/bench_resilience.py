@@ -5,9 +5,9 @@ global communication, so they should degrade gracefully under processor
 failure, while every PHF phase-2 round is a synchronisation point that a
 dead processor stalls.  This bench measures two things:
 
-* **overhead** -- the fault-aware simulation with an *empty* plan must
-  track the plain DES closely (it is bit-identical in output; the bench
-  records the wall-clock cost of the extra bookkeeping);
+* **overhead** -- the one DES run with an *empty* plan must track its
+  fault-free run (``plan=None``) closely (it is bit-identical in output;
+  the bench records the wall-clock cost of the recovery bookkeeping);
 * **degradation** -- the fault study's headline numbers: at a moderate
   crash rate PHF pays collective stalls BA never pays, and HF's
   fixed-home pieces make its post-recovery balance collapse first.
@@ -19,7 +19,7 @@ from repro.experiments.fault_study import (
 )
 from repro.problems import SyntheticProblem
 from repro.resilience import FaultPlan, simulate_with_faults
-from repro.simulator.ba_sim import simulate_ba
+from repro.simulator import simulate
 
 from _common import full_scale, run_once, write_artifact
 
@@ -58,7 +58,7 @@ def test_fault_study_degradation(benchmark):
 
 
 def test_faulty_sim_overhead(benchmark):
-    """Empty-plan fault simulation vs the plain DES: output-identical,
+    """Empty plan vs ``plan=None`` on the same DES: output-identical,
     and the bookkeeping overhead stays within a small constant factor."""
     import time
 
@@ -66,10 +66,9 @@ def test_faulty_sim_overhead(benchmark):
     reps = 20
 
     def run():
-        problem = SyntheticProblem(1.0, seed=9)
         t0 = time.perf_counter()
         for _ in range(reps):
-            base = simulate_ba(SyntheticProblem(1.0, seed=9), n)
+            base = simulate("ba", SyntheticProblem(1.0, seed=9), n)
         t_plain = time.perf_counter() - t0
         t0 = time.perf_counter()
         for _ in range(reps):
@@ -86,16 +85,16 @@ def test_faulty_sim_overhead(benchmark):
 
     overhead = t_faulty / t_plain if t_plain > 0 else float("inf")
     benchmark.extra_info["faulty_over_plain"] = overhead
-    # generous bound: the fault-aware path re-implements the recursion
-    # with survivor-pool checks; it must stay the same order of magnitude
+    # generous bound: an empty plan adds survivor-pool and channel checks
+    # to every hand-off; it must stay the same order of magnitude
     assert overhead < 25.0
 
     write_artifact(
         "resilience_overhead",
         (
-            f"empty-plan fault simulation vs plain DES (ba, N={n}, "
+            f"empty plan vs plan=None on the one DES (ba, N={n}, "
             f"{reps} reps)\n"
-            f"  plain : {t_plain:.4f}s\n"
-            f"  faulty: {t_faulty:.4f}s  ({overhead:.2f}x)"
+            f"  plan=None : {t_plain:.4f}s\n"
+            f"  empty plan: {t_faulty:.4f}s  ({overhead:.2f}x)"
         ),
     )

@@ -94,7 +94,7 @@ def run_ba_prime(
     processors leaves ``k - 1`` of them free (``meta["free_processors"]``
     lists their 1-based ids).
     """
-    if skip_threshold <= 0:
+    if not skip_threshold > 0:  # also rejects NaN
         raise ValueError(f"skip_threshold must be positive, got {skip_threshold}")
     return _run_ba_impl(
         problem,

@@ -35,7 +35,7 @@ __all__ = ["bahf_threshold", "run_bahf", "bahf_final_weights"]
 def bahf_threshold(alpha: float, lam: float) -> float:
     """Switch-over point: HF takes over when ``N < λ/α + 1``."""
     check_alpha(alpha)
-    if lam <= 0:
+    if not lam > 0:  # also rejects NaN
         raise ValueError(f"lambda must be positive, got {lam}")
     return lam / alpha + 1.0
 

@@ -26,7 +26,7 @@ for the collectives.
 This module implements PHF at the *round* level: it performs the same
 bisections in the same round structure and reports round/collective counts,
 but does not model point-to-point message timing -- that is the job of
-:mod:`repro.simulator.phf_sim`, which runs PHF on the discrete-event
+:mod:`repro.simulator.des`, which runs PHF on the discrete-event
 machine.  Both produce the identical partition (tested).
 """
 

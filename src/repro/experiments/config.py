@@ -194,7 +194,7 @@ class StochasticConfig:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.lam <= 0:
+        if not self.lam > 0:  # also rejects NaN
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")

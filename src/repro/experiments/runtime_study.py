@@ -56,12 +56,9 @@ from repro.experiments.stochastic import _trial_factory, draw_rows, normalize_al
 from repro.problems.prescribed import prescribed_problem
 from repro.problems.samplers import AlphaSampler, UniformAlpha
 from repro.problems.synthetic import SyntheticProblem
+from repro.simulator.des import simulate
 from repro.simulator.fastpath import fastpath_counters, fastpath_supported
 from repro.simulator.machine import MachineConfig
-from repro.simulator.ba_sim import simulate_ba
-from repro.simulator.bahf_sim import simulate_bahf
-from repro.simulator.hf_sim import simulate_hf
-from repro.simulator.phf_sim import simulate_phf
 from repro.simulator.trace import SimulationResult
 
 __all__ = [
@@ -223,19 +220,11 @@ def study_trial_metrics(
             problem: object = SyntheticProblem(
                 1.0, sampler, seed=fac.seed_for(start + i)
             )
-            res = simulate_phf(
-                problem, n, alpha=alpha, config=config, phase1=phf_phase1
-            )
         else:
             problem = prescribed_problem(key, n, draws[i], alpha=alpha, lam=lam)
-            if key == "hf":
-                res = simulate_hf(problem, n, config=config)
-            elif key == "ba":
-                res = simulate_ba(problem, n, config=config)
-            elif key == "bahf":
-                res = simulate_bahf(problem, n, alpha=alpha, lam=lam, config=config)
-            else:
-                res = simulate_phf(problem, n, alpha=alpha, config=config)
+        res = simulate(
+            key, problem, n, alpha=alpha, lam=lam, phase1=phf_phase1, config=config
+        )
         out[i] = _result_row(res)
     return out
 

@@ -11,17 +11,21 @@ happens when processors fail.  It provides:
   :class:`RecoveryTracker`) -- ack timeouts, exponential backoff,
   re-targeting via the surviving-processor pool, adoption when retries
   are exhausted;
-* fault-aware executions (:func:`simulate_with_faults`) of HF, PHF, BA
-  and BA-HF that produce degraded-mode metrics in
+* the fault entry point (:func:`simulate_with_faults`): HF, PHF, BA and
+  BA-HF on the discrete-event simulator (:mod:`repro.simulator.des`)
+  under a plan, with degraded-mode metrics in
   ``SimulationResult.fault_summary``.
 
-With an empty plan every run is bit-identical to the fault-free
-simulators -- the layer is inert unless faults are injected.
+With an empty plan every run is bit-identical to the fault-free run of
+the same simulator -- the layer is inert unless faults are injected.
 """
 
 from repro.resilience.faults import FaultConfig, FaultPlan, fault_plan_for
-from repro.resilience.recovery import RecoveryPolicy, RecoveryTracker
-from repro.resilience.sim import simulate_with_faults
+from repro.resilience.recovery import (
+    RecoveryPolicy,
+    RecoveryTracker,
+    simulate_with_faults,
+)
 
 __all__ = [
     "FaultConfig",

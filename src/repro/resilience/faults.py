@@ -24,7 +24,7 @@ Design rules:
   count.
 
 Fail-stop semantics (documented here, implemented in
-:mod:`repro.resilience.sim`): a processor with crash time ``T`` refuses
+:mod:`repro.simulator.des`): a processor with crash time ``T`` refuses
 every subproblem arriving at time ``>= T``.  Work it accepted earlier
 runs to completion (non-preemptive hand-off-boundary fail-stop) -- the
 standard simplification that keeps recovery sender-driven and matches the

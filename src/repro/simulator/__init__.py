@@ -5,13 +5,15 @@ unit-time bisections and subproblem sends, ``O(log N)`` global operations.
 This package provides that machine (:class:`Machine`, :class:`MachineConfig`),
 a deterministic event engine (:class:`Simulator`), the free-processor
 management schemes of Section 3.4 (:mod:`repro.simulator.freeproc`) and
-simulated executions of all four algorithms with full timing / message /
-collective accounting:
+one discrete-event simulator, :func:`simulate` (:mod:`repro.simulator.des`),
+that runs all four algorithms with full timing / message / collective
+accounting, fault-free or under a fault plan.  One-line entry points:
 
 * :func:`simulate_hf`   -- sequential baseline (``Θ(N)`` makespan),
 * :func:`simulate_ba`   -- communication-free recursion (``O(log N)``),
+  and :func:`simulate_ba_prime`, BA without bisections below a weight,
 * :func:`simulate_bahf` -- BA + local HF below the λ/α threshold,
-* :func:`simulate_phf`  -- parallel HF (two phase-1 strategies).
+* :func:`simulate_phf`  -- parallel HF (three phase-1 strategies).
 """
 
 from repro.simulator.engine import SimulationError, Simulator
@@ -37,10 +39,14 @@ from repro.simulator.freeproc import (
 )
 from repro.simulator.trace import SimulationResult
 from repro.simulator.gantt import gantt_rows, render_gantt
-from repro.simulator.hf_sim import simulate_hf
-from repro.simulator.ba_sim import simulate_ba, simulate_ba_prime
-from repro.simulator.bahf_sim import simulate_bahf
-from repro.simulator.phf_sim import simulate_phf
+from repro.simulator.des import (
+    simulate,
+    simulate_ba,
+    simulate_ba_prime,
+    simulate_bahf,
+    simulate_hf,
+    simulate_phf,
+)
 from repro.simulator.fastpath import (
     FastpathResult,
     FastpathUnsupported,
@@ -70,6 +76,7 @@ __all__ = [
     "SimulationResult",
     "gantt_rows",
     "render_gantt",
+    "simulate",
     "simulate_hf",
     "simulate_ba",
     "simulate_ba_prime",

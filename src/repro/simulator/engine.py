@@ -25,10 +25,9 @@ class SimulationError(RuntimeError):
 class ScheduledEvent:
     """Handle for one scheduled callback; ``cancel()`` makes it a no-op.
 
-    Cancellation is what timeout protocols need: the fault-aware
-    simulations (:mod:`repro.resilience.sim`) schedule an ack-timeout
-    event alongside every hand-off and cancel it when the ack arrives.
-    A cancelled event is skipped by the loop without being counted in
+    Cancellation is what event-driven timeout protocols need (the DES
+    of :mod:`repro.simulator.des` charges its ack timeouts in simulated
+    time directly and never cancels).  A cancelled event is skipped by the loop without being counted in
     ``events_processed``, so simulations that never cancel behave exactly
     as before.
     """

@@ -450,7 +450,7 @@ def _phf_topology(
     1. **prescribe** -- rebuild the node weights exactly as
        ``phf_draw_tree`` does (lockstep phase 1, then band-peeling rounds
        with the prescription's own processor numbering for tie-breaks);
-    2. **replay** -- re-run the event chronology of ``_phase1_central``
+    2. **replay** -- re-run the event chronology of the DES's central phase 1
        for the timing: a ``(time, seq)`` heap pops pieces FIFO at equal
        times (ship child scheduled before keep child), every bisection
        acquires the next central id, and every send pays

@@ -20,8 +20,8 @@ Optional refinements beyond the paper's idealisation:
   :mod:`repro.simulator.gantt` renders as an ASCII timeline.
 
 The :class:`Machine` tracks, per processor, the time until which it is
-busy, plus global message/collective counters; algorithm simulations
-(:mod:`repro.simulator.ba_sim` etc.) advance these clocks and the result
+busy, plus global message/collective counters; the discrete-event
+simulator (:mod:`repro.simulator.des`) advances these clocks and the result
 object (:class:`~repro.simulator.trace.SimulationResult`) summarises them.
 """
 
@@ -100,8 +100,8 @@ class Machine:
     :class:`repro.resilience.faults.FaultPlan`) providing
     ``scale_work(proc, cost)`` / ``scale_comm(src, cost)`` straggler
     multipliers.  When ``faults`` is ``None`` -- the default, and the
-    only mode the algorithm simulations in this package use -- every
-    code path below is byte-for-byte the fault-free arithmetic.
+    machine of every fault-free run of :mod:`repro.simulator.des` --
+    every code path below is byte-for-byte the fault-free arithmetic.
     """
 
     def __init__(

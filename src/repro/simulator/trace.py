@@ -51,8 +51,8 @@ class SimulationResult:
     phases: Dict[str, float] = field(default_factory=dict)
     #: full event trace when the machine ran with ``record_events=True``
     events: List[MachineEvent] = field(default_factory=list)
-    #: degraded-mode metrics filled by the fault-aware simulations
-    #: (:mod:`repro.resilience.sim`): recovery counts/time, work re-done,
+    #: degraded-mode metrics filled by runs under a fault plan
+    #: (:mod:`repro.simulator.des`): recovery counts/time, work re-done,
     #: survivors, ratio over the surviving processors.  Empty for
     #: fault-free runs.
     fault_summary: Dict[str, float] = field(default_factory=dict)

@@ -173,8 +173,9 @@ class TestRunBAPrime:
         assert busy | free == set(range(1, 65))
 
     def test_rejects_bad_threshold(self, synthetic_problem):
-        with pytest.raises(ValueError):
-            run_ba_prime(synthetic_problem, 8, skip_threshold=0.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="skip_threshold"):
+                run_ba_prime(synthetic_problem, 8, skip_threshold=bad)
 
 
 class TestBAFinalWeights:

@@ -6,12 +6,15 @@ import pytest
 from repro.core import (
     bahf_bound,
     bahf_final_weights,
+    bahf_final_weights_batch,
     bahf_threshold,
     run_ba,
     run_bahf,
     run_hf,
 )
+from repro.experiments import StochasticConfig
 from repro.problems import FixedAlpha, SyntheticProblem, UniformAlpha
+from repro.simulator import fastpath_counters, simulate_bahf
 
 from conftest import assert_valid_partition
 
@@ -24,6 +27,34 @@ class TestThreshold:
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             bahf_threshold(0.1, 0.0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["run_bahf", "simulate_bahf", "frontier", "native", "fastpath", "config"],
+    )
+    def test_nan_lambda_rejected_by_every_entry_point(self, entry):
+        nan = float("nan")
+        draws = np.full((2, 7), 0.3)
+
+        def problem():
+            return SyntheticProblem(1.0, UniformAlpha(0.1, 0.5), seed=0)
+
+        calls = {
+            "run_bahf": lambda: run_bahf(problem(), 8, lam=nan),
+            "simulate_bahf": lambda: simulate_bahf(problem(), 8, lam=nan),
+            "frontier": lambda: bahf_final_weights_batch(
+                1.0, 8, draws, alpha=0.1, lam=nan, method="frontier"
+            ),
+            "native": lambda: bahf_final_weights_batch(
+                1.0, 8, draws, alpha=0.1, lam=nan, method="native"
+            ),
+            "fastpath": lambda: fastpath_counters(
+                "bahf", 8, draws, alpha=0.1, lam=nan
+            ),
+            "config": lambda: StochasticConfig(lam=nan),
+        }
+        with pytest.raises(ValueError, match="must be positive, got nan"):
+            calls[entry]()
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -20,8 +20,10 @@ from repro.core.bahf import bahf_threshold
 from repro.problems import prescribed_problem
 from repro.problems.samplers import BetaAlpha, DiscreteAlpha, FixedAlpha, UniformAlpha
 from repro.simulator import (
+    ConstantCost,
     FastpathUnsupported,
     HypercubeTopology,
+    LinearCost,
     MachineConfig,
     Mesh2DTopology,
     RingTopology,
@@ -60,6 +62,8 @@ CONFIGS = [
     MachineConfig(),
     MachineConfig(t_bisect=0.5, t_send=2.0, t_acquire=0.25, c_collective=1.5),
     MachineConfig(t_bisect=1.0, t_send=0.0, t_acquire=0.0, c_collective=0.25),
+    MachineConfig(collective_model=LinearCost()),
+    MachineConfig(collective_model=ConstantCost()),
 ]
 
 N_VALUES = [1, 2, 3, 5, 8, 13, 32, 64, 127]
@@ -135,7 +139,9 @@ def test_matches_des_across_samplers(sampler, algorithm):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=["default", "scaled", "zerocost"])
+@pytest.mark.parametrize(
+    "config", CONFIGS, ids=["default", "scaled", "zerocost", "linear", "constant"]
+)
 @pytest.mark.parametrize("algorithm", ["hf", "ba", "bahf", "phf"])
 def test_matches_des_across_configs(config, algorithm):
     sampler = UniformAlpha(0.15, 0.5)

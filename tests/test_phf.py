@@ -2,7 +2,7 @@
 
 The headline property -- PHF produces *exactly* the partition of
 sequential HF -- is tested here for the logical implementation and in
-``test_phf_sim.py`` for the machine simulation.
+``test_simulated_algorithms.py`` for the machine simulation.
 """
 
 import pytest

@@ -18,21 +18,14 @@ from repro.resilience import (
     FaultConfig,
     FaultPlan,
     RecoveryPolicy,
+    RecoveryTracker,
     fault_plan_for,
     simulate_with_faults,
 )
-from repro.simulator.ba_sim import simulate_ba
-from repro.simulator.bahf_sim import simulate_bahf
-from repro.simulator.hf_sim import simulate_hf
-from repro.simulator.phf_sim import simulate_phf
+from repro.simulator import simulate, simulate_ba
 from repro.problems.synthetic import SyntheticProblem
 
-BASELINES = {
-    "hf": simulate_hf,
-    "phf": simulate_phf,
-    "ba": simulate_ba,
-    "bahf": simulate_bahf,
-}
+ALGORITHMS = ("ba", "bahf", "hf", "phf")
 
 
 def problem(seed=42, weight=1000.0):
@@ -112,12 +105,13 @@ class TestFaultPlan:
 
 
 class TestEmptyPlanBitIdentity:
-    """The fault-free path must be *bit-identical* to the baseline DES."""
+    """An empty plan must be *bit-identical* to the fault-free run."""
 
-    @pytest.mark.parametrize("algorithm", sorted(BASELINES))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
     def test_matches_baseline(self, algorithm, n):
-        base = BASELINES[algorithm](problem(), n)
+        base = simulate(algorithm, problem(), n)  # plan=None
+        assert base.fault_summary == {}
         res = simulate_with_faults(
             algorithm, problem(), n, plan=FaultPlan.empty(n)
         )
@@ -231,7 +225,7 @@ class TestFaultyRuns:
         assert res.partition.weights == base.partition.weights
         assert not res.degraded
 
-    @pytest.mark.parametrize("algorithm", sorted(BASELINES))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_all_algorithms_survive_crashes(self, algorithm):
         cfg = FaultConfig(crash_rate=0.3, crash_window=16.0)
         plan = fault_plan_for(cfg, 16, seed=2026, trial=3)
@@ -259,6 +253,43 @@ class TestFaultyRuns:
             simulate_with_faults(
                 "qsort", problem(), 4, plan=FaultPlan.empty(4)
             )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_bad_keep_rejected_for_every_algorithm(self, algorithm):
+        with pytest.raises(ValueError, match="keep"):
+            simulate_with_faults(
+                algorithm, problem(), 4, plan=FaultPlan.empty(4), keep="bogus"
+            )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_bad_phase1_rejected_for_every_algorithm(self, algorithm):
+        with pytest.raises(ValueError, match="phase1"):
+            simulate(algorithm, problem(), 4, alpha=0.1, phase1="magic")
+
+    @pytest.mark.parametrize("phase1", ["steal", "ba_prime"])
+    def test_non_central_phase1_needs_an_empty_plan(self, phase1):
+        n = 8
+        crash = (math.inf,) * (n - 1) + (0.5,)
+        faulty = FaultPlan(n_processors=n, crash_time=crash, slowdown=(1.0,) * n)
+        recovery = dict(policy=RecoveryPolicy(), tracker=RecoveryTracker())
+        with pytest.raises(ValueError, match="out of scope"):
+            simulate("phf", problem(), n, plan=faulty, phase1=phase1, **recovery)
+        # an empty plan perturbs nothing, so it stays in scope
+        res = simulate(
+            "phf", problem(), n, plan=FaultPlan.empty(n), phase1=phase1,
+            **recovery,
+        )
+        base = simulate("phf", problem(), n, phase1=phase1)
+        assert res.parallel_time == base.parallel_time
+        assert res.partition.weights == base.partition.weights
+
+    def test_skip_threshold_is_ba_only(self):
+        with pytest.raises(ValueError, match="skip_threshold"):
+            simulate("hf", problem(), 4, skip_threshold=0.5)
+
+    def test_plan_needs_policy_and_tracker(self):
+        with pytest.raises(ValueError, match="policy"):
+            simulate("ba", problem(), 4, plan=FaultPlan.empty(4))
 
     def test_plan_size_must_match(self):
         with pytest.raises(ValueError):

@@ -94,8 +94,9 @@ class TestSimulateBA:
                 assert piece.weight <= 0.08 + 1e-12
 
     def test_ba_prime_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            simulate_ba_prime(problem(), 8, 0.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="skip_threshold"):
+                simulate_ba_prime(problem(), 8, bad)
 
 
 class TestSimulateBAHF:
