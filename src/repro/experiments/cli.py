@@ -26,7 +26,12 @@ verify|status|repair|compact FILE`` maintains such files (see
 OS-level fault schedule (killed workers, hangs, transient errors,
 delays; see :mod:`repro.chaos`) into the table1/figure5 sweeps -- the
 supervised executor must still produce bit-identical results.  Off by
-default; only for testing the harness itself.
+default; only for testing the harness itself.  ``--deadline SECONDS``
+cancels a table1/figure5 sweep gracefully.
+
+Any other experiment given ``--journal``/``--resume`` or
+``--chaos-profile``/``--deadline`` is a usage error (exit 2), never a
+silently ignored flag.
 """
 
 from __future__ import annotations
@@ -76,6 +81,11 @@ from repro.experiments.worstcase_study import (
 )
 
 __all__ = ["main", "build_parser"]
+
+#: Experiments that honour ``--journal``/``--resume``.
+JOURNAL_EXPERIMENTS = ("table1", "figure5", "fault")
+#: Experiments that honour ``--chaos-profile``/``--deadline``.
+SUPERVISED_EXPERIMENTS = ("table1", "figure5")
 
 
 def _parse_fault_rates(text: str) -> tuple:
@@ -216,16 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help=(
-            "crash-safe mode for table1/figure5/fault: append completed "
-            "trial chunks to FILE as they finish"
+            "crash-safe mode for table1/figure5/fault only: append "
+            "completed trial chunks to FILE as they finish"
         ),
     )
     parser.add_argument(
         "--resume",
         action="store_true",
         help=(
-            "with --journal: replay completed chunks from an existing "
-            "journal (bit-identical) and compute only the missing ones"
+            "with --journal (table1/figure5/fault only): replay completed "
+            "chunks from an existing journal (bit-identical) and compute "
+            "only the missing ones"
         ),
     )
     parser.add_argument(
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "inject a deterministic OS-level fault schedule into the "
-            "table1/figure5 sweep (kill/hang/transient/delay; for "
+            "table1/figure5 sweep only (kill/hang/transient/delay; for "
             "testing the supervised executor -- results must stay "
             "bit-identical)"
         ),
@@ -251,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "cancel the run gracefully after SECONDS (completed chunks "
-            "are flushed to the journal first; exit code 130)"
+            "table1/figure5 only: cancel the sweep gracefully after "
+            "SECONDS (completed chunks are flushed to the journal first; "
+            "exit code 130)"
         ),
     )
     return parser
@@ -283,7 +295,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.experiments.journal_cli import journal_main
 
         return journal_main(list(argv[1:]))
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.journal or args.resume) and args.experiment not in JOURNAL_EXPERIMENTS:
+        parser.error(
+            f"--journal/--resume apply only to {', '.join(JOURNAL_EXPERIMENTS)}"
+            f", not {args.experiment}"
+        )
+    if (
+        args.chaos_profile is not None or args.deadline is not None
+    ) and args.experiment not in SUPERVISED_EXPERIMENTS:
+        parser.error(
+            "--chaos-profile/--deadline apply only to "
+            f"{', '.join(SUPERVISED_EXPERIMENTS)}, not {args.experiment}"
+        )
     if args.experiment == "report":
         from repro.experiments.report import generate_report
 
@@ -306,11 +331,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     csv_payload: Optional[str] = None
     json_sweep = None
 
-    # --journal/--resume apply to the sweeps and the fault study; an
-    # "all" run would have every experiment fight over one journal file,
-    # so they are honoured for the single-experiment invocations only.
+    # --journal/--resume apply to the sweeps and the fault study (main
+    # rejects them elsewhere; an "all" run would have every experiment
+    # fight over one journal file).
     journal_kw = {}
-    if args.journal and args.experiment in ("table1", "figure5", "fault"):
+    if args.journal:
         journal_kw = {"journal_path": args.journal, "resume": args.resume}
 
     # --chaos-profile/--deadline drive the supervised executor on the
@@ -320,25 +345,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # command), so an operator's `kill` never wastes finished work.
     supervise_kw = {}
     run_report = None
-    if args.experiment in ("table1", "figure5"):
-        if (
-            args.chaos_profile is not None
-            or args.deadline is not None
-            or journal_kw
-        ):
-            from repro.chaos import CHAOS_PROFILES, ChaosSpec, RunReport
+    if args.experiment in SUPERVISED_EXPERIMENTS and (
+        args.chaos_profile is not None or args.deadline is not None or journal_kw
+    ):
+        from repro.chaos import CHAOS_PROFILES, ChaosSpec, RunReport
 
-            run_report = RunReport()
-            supervise_kw["report"] = run_report
-            if args.chaos_profile is not None:
-                supervise_kw["chaos"] = ChaosSpec(
-                    config=CHAOS_PROFILES[args.chaos_profile],
-                    seed=args.chaos_seed,
-                )
-            if args.deadline is not None:
-                supervise_kw["run_deadline"] = args.deadline
-            if args.deadline is not None or journal_kw:
-                supervise_kw["cancel_on_sigterm"] = True
+        run_report = RunReport()
+        supervise_kw["report"] = run_report
+        if args.chaos_profile is not None:
+            supervise_kw["chaos"] = ChaosSpec(
+                config=CHAOS_PROFILES[args.chaos_profile],
+                seed=args.chaos_seed,
+            )
+        if args.deadline is not None:
+            supervise_kw["run_deadline"] = args.deadline
+        if args.deadline is not None or journal_kw:
+            supervise_kw["cancel_on_sigterm"] = True
 
     from repro.experiments.checkpoint import RunCancelledError
 
@@ -348,7 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 **kw,
                 backend=args.backend,
                 **journal_kw,
-                **(supervise_kw if args.experiment == "table1" else {}),
+                **supervise_kw,
             )
             outputs.append(render_table1(result))
             csv_payload = sweep_to_csv(result)
@@ -357,8 +379,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             result = run_figure5(
                 **kw,
                 backend=args.backend,
-                **(journal_kw if args.experiment == "figure5" else {}),
-                **(supervise_kw if args.experiment == "figure5" else {}),
+                **journal_kw,
+                **supervise_kw,
             )
             outputs.append(render_figure5(result))
             if args.experiment == "figure5":
@@ -426,7 +448,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             n_trials=min(trials, 50) if args.experiment == "all" else trials,
             seed=args.seed,
             n_jobs=args.jobs,
-            **(journal_kw if args.experiment == "fault" else {}),
+            **journal_kw,
         )
         outputs.append(render_fault_study(fault_result))
         if args.experiment == "fault":

@@ -30,10 +30,10 @@ Design notes for determinism and comparability:
 * crash sets are nested as the rate grows (a processor crashed at rate
   ``r`` is also crashed at every ``r' > r``), making the curves monotone
   in distribution;
-* the chunk layout and merge order are functions of the parameters
-  alone, so results are bit-identical for any ``n_jobs`` and the
-  journaling/resume machinery of :mod:`repro.experiments.checkpoint`
-  applies unchanged.
+* the cells run through the chunked-cell pipeline
+  :func:`~repro.experiments.runner.run_cells`, whose chunk layout and
+  merge order are functions of the parameters alone, so results are
+  bit-identical for any ``n_jobs`` and a journaled run resumes exactly.
 """
 
 from __future__ import annotations
@@ -44,9 +44,11 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.checkpoint import ChunkJournal, execute_chunks
-from repro.experiments.config import DEFAULT_CHUNK_RETRIES
-from repro.experiments.runner import chunk_bounds
+from repro.experiments.runner import (
+    decode_matrix_chunk,
+    encode_matrix_chunk,
+    run_cells,
+)
 from repro.experiments.stochastic import _trial_factory, normalize_algorithm
 from repro.problems.samplers import AlphaSampler, UniformAlpha
 from repro.problems.synthetic import SyntheticProblem
@@ -216,9 +218,9 @@ def fault_trial_metrics(
     return out
 
 
-def _fault_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
+def _fault_chunk(args) -> Tuple[int, np.ndarray]:
     """Worker: one trial chunk of one fault-study cell (picklable)."""
-    cell_key, algo, n, rate, sampler, start, stop, seed, lam, policy = args
+    _cell_key, algo, n, rate, sampler, start, stop, seed, lam, policy = args
     matrix = fault_trial_metrics(
         algo,
         n,
@@ -230,7 +232,7 @@ def _fault_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
         lam=lam,
         policy=policy,
     )
-    return cell_key, start, matrix
+    return start, matrix
 
 
 def _fault_fingerprint(
@@ -276,12 +278,11 @@ def run_fault_study(
 
     Results are bit-identical for any ``n_jobs``; ``journal_path`` /
     ``resume`` enable the crash-safe execution mode (completed chunks
-    are replayed exactly, see :mod:`repro.experiments.checkpoint`).
+    are replayed exactly, see :mod:`repro.experiments.checkpoint`).  A
+    cell that appears twice after algorithm normalisation (``n_values``
+    ``(8, 8)``, or ``algorithms`` ``("hf", "HF")``) raises
+    :class:`ValueError`.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     for rate in fault_rates:
         if not (0.0 <= rate <= 1.0):
             raise ValueError(f"fault rates must be in [0, 1], got {rate}")
@@ -289,89 +290,44 @@ def run_fault_study(
     policy = policy or RecoveryPolicy()
     algorithms = tuple(normalize_algorithm(a) for a in algorithms)
     size = chunk_size if chunk_size is not None else DEFAULT_FAULT_CHUNK_SIZE
-    chunks = chunk_bounds(n_trials, size)
     cells: List[Tuple[Hashable, str, int, float]] = [
         ((algo, n, rate), algo, n, float(rate))
         for algo in algorithms
         for n in n_values
         for rate in fault_rates
     ]
-    tasks = [
-        (cell_key, algo, n, rate, sampler, start, stop, seed, lam, policy)
-        for cell_key, algo, n, rate in cells
-        for start, stop in chunks
-    ]
-    keys = [
-        f"{cell_key!r}:{start}"
-        for cell_key, _, _, _ in cells
-        for start, _ in chunks
-    ]
-    cell_by_key = {
-        f"{cell_key!r}:{start}": cell_key
-        for cell_key, _, _, _ in cells
-        for start, _ in chunks
-    }
-    retries = DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries
-    journal = (
-        ChunkJournal.open(
-            journal_path,
-            fingerprint=_fault_fingerprint(
-                cells,
-                sampler,
-                n_trials=n_trials,
-                seed=seed,
-                lam=lam,
-                policy=policy,
-                chunk_size=size,
-            ),
-            resume=resume,
-        )
-        if journal_path is not None
-        else None
+    parts = run_cells(
+        [(repr(cell_key), None) for cell_key, _, _, _ in cells],
+        lambda i, start, stop, _spec: (
+            *cells[i], sampler, start, stop, seed, lam, policy
+        ),
+        _fault_chunk,
+        n_trials=n_trials,
+        chunk_size=size,
+        sampler=sampler,
+        seed=seed,
+        n_jobs=n_jobs,
+        fingerprint=_fault_fingerprint(
+            cells,
+            sampler,
+            n_trials=n_trials,
+            seed=seed,
+            lam=lam,
+            policy=policy,
+            chunk_size=size,
+        ),
+        encode=encode_matrix_chunk,
+        decode=decode_matrix_chunk,
+        journal_path=journal_path,
+        resume=resume,
+        chunk_timeout=chunk_timeout,
+        chunk_retries=chunk_retries,
     )
-    try:
-        raw = execute_chunks(
-            tasks,
-            _fault_chunk,
-            keys=keys,
-            n_jobs=n_jobs,
-            journal=journal,
-            encode=lambda result: {
-                "start": result[1],
-                "matrix": result[2].tolist(),
-            },
-            timeout=chunk_timeout,
-            retries=retries,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    raw = [
-        item
-        if not isinstance(item, dict)
-        else (
-            cell_by_key[keys[i]],
-            int(item["start"]),
-            np.asarray(item["matrix"], dtype=np.float64).reshape(
-                -1, len(FAULT_COLUMNS)
-            ),
-        )
-        for i, item in enumerate(raw)
-    ]
-
-    per_cell: Dict[Hashable, List[Tuple[int, np.ndarray]]] = {
-        cell_key: [] for cell_key, _, _, _ in cells
-    }
-    for cell_key, start, matrix in raw:
-        per_cell[cell_key].append((start, matrix))
 
     col = {name: j for j, name in enumerate(FAULT_COLUMNS)}
     records: List[FaultStudyRecord] = []
-    for cell_key, algo, n, rate in cells:
-        matrix = np.concatenate(
-            [m for _, m in sorted(per_cell[cell_key], key=lambda it: it[0])],
-            axis=0,
-        )
+    for (_, algo, n, rate), chunk_results in zip(cells, parts):
+        matrix = np.concatenate([m for _, m in chunk_results], axis=0)
         mean = matrix.sum(axis=0) / n_trials
         records.append(
             FaultStudyRecord(

@@ -1,4 +1,4 @@
-"""Sweep runner: algorithms × processor counts → summary records.
+"""Sweep runner and the one chunked-cell pipeline behind every grid study.
 
 A *sweep* evaluates a :class:`~repro.experiments.config.StochasticConfig`
 and produces one :class:`SweepRecord` per (algorithm, N) cell: observed
@@ -6,43 +6,40 @@ min/avg/max/variance plus the worst-case upper bound computed from the
 theorems at the sampler's guaranteed α -- exactly the rows of the paper's
 Table 1.
 
-Scheduling is *trial-chunked*: every cell's ``n_trials`` are split into
-``config.effective_chunk_size``-sized chunks and each chunk is one work
-unit for the ``concurrent.futures.ProcessPoolExecutor``.  Whole-cell
-granularity (the previous design) let a single heavy N = 2^16 cell
-straggle an entire sweep -- an ironic load imbalance for a load-balancing
-repo; chunking bounds the largest work unit.  Because trial ``t`` derives
-its generator from ``(seed, algorithm, N, t)``, a chunk computes exactly
-the values the serial pass would, and because the chunk layout and the
-merge order are functions of the config alone (never of ``n_jobs``), the
-resulting records are bit-identical for any worker count.
+:func:`run_cells` is the pipeline shared by :func:`run_sweep`,
+:func:`~repro.experiments.runtime_study.run_study_cells` and
+:func:`~repro.experiments.fault_study.run_fault_study`.  Each cell's
+trials are split into fixed-size chunks (:func:`chunk_bounds`), and each
+chunk is one work unit for the supervised executor
+(:func:`~repro.experiments.checkpoint.execute_chunks`), so one heavy
+cell cannot straggle a parallel run.  Trial ``t`` derives its generator
+from ``(seed, algorithm, N, t)``, so a chunk computes exactly the values
+a serial pass would.  The chunk layout and the merge order depend on the
+cells and the chunk size alone, never on ``n_jobs`` or the backend, so
+results are bit-identical for any worker count and journals resume
+under either backend.
 
-Workers reduce their chunk to a :class:`~repro.core.metrics.RatioAccumulator`
-(a few floats) instead of shipping per-trial ratio arrays, so paper-scale
-sweeps never materialise every ratio array in the parent.
+Draw transport.  With ``n_jobs > 1`` the parent samples each cell's
+``(n_trials, N - 1)`` draw matrix once and hands every chunk its
+row-slice: through a shared-memory block (:mod:`repro.experiments.shm`)
+on the process backend, by reference on the thread backend.  The rows
+equal what each chunk would sample for itself, so the transport cannot
+change results; a cell that gets no block (serial runs, N = 1, lazily
+sampling cells, an exhausted ``REPRO_SHM_MAX_BYTES`` budget, a refused
+segment) simply samples per chunk.
 
-With ``n_jobs > 1`` the parent also samples each cell's draw matrix
-*once* into a shared-memory block (:mod:`repro.experiments.shm`) and
-workers map their chunk's row-slice out of it, killing the ``O(chunks)``
-re-sampling the chunked design otherwise pays.  The block is pure
-transport: rows equal what each chunk would have sampled for itself, so
-results are bit-identical with or without it (budget exhaustion, platform
-refusal and ``n_jobs == 1`` all fall back to per-chunk sampling).
-
-``backend="threads"`` swaps the process pool for an in-process thread
-pool: chunk workers call the native kernels through ctypes (which
-releases the GIL), so no pickling or shared-memory publish is needed --
-each cell's matrix is sampled once in the parent and sliced by
-reference.  The chunk layout, seeds, and merge order are identical, so
-the records are bit-identical to ``backend="processes"`` and to serial,
-and journals are interchangeable between backends.
+Sweep workers reduce their chunk to a
+:class:`~repro.core.metrics.RatioAccumulator` (a few floats) instead of
+shipping per-trial ratio arrays, so paper-scale sweeps never materialise
+every ratio array in the parent.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,14 +52,18 @@ from repro.experiments.config import (
     StochasticConfig,
     normalize_backend,
 )
-from repro.experiments.stochastic import draw_rows, trial_ratios
+from repro.experiments.stochastic import draw_rows, normalize_algorithm, trial_ratios
 from repro.problems.samplers import AlphaSampler
 
 __all__ = [
     "SweepRecord",
     "SweepResult",
     "run_sweep",
+    "run_cells",
     "chunk_bounds",
+    "chunk_draws",
+    "encode_matrix_chunk",
+    "decode_matrix_chunk",
     "sweep_fingerprint",
 ]
 
@@ -150,6 +151,21 @@ def chunk_bounds(n_trials: int, chunk_size: int) -> List[Tuple[int, int]]:
     ]
 
 
+def chunk_draws(spec: Any, start: int, stop: int) -> Optional[np.ndarray]:
+    """Rows ``[start, stop)`` of a cell's draw block, or ``None``.
+
+    ``spec`` is the block :func:`run_cells` hands a chunk task: a
+    :class:`~repro.experiments.shm.DrawSpec` naming a shared-memory
+    segment (process backend; mapped zero-copy), the cell's ndarray
+    itself (threads backend; sliced by reference), or ``None``.  ``None``
+    back means the chunk samples its own rows, with identical results.
+    """
+    if isinstance(spec, np.ndarray):
+        return spec[start:stop]
+    cell = shm.attached_draws(spec) if spec is not None else None
+    return None if cell is None else cell[start:stop]
+
+
 def _run_chunk(
     args: Tuple[
         str, int, AlphaSampler, int, int, int, float, Any, Optional[int]
@@ -157,26 +173,14 @@ def _run_chunk(
 ) -> Tuple[str, int, int, RatioAccumulator]:
     """Worker: one trial chunk of one (algorithm, N) cell (picklable).
 
-    ``spec`` optionally carries the cell's draw block: a
-    :class:`~repro.experiments.shm.DrawSpec` naming a shared-memory
-    block (process backend; mapped zero-copy) or the cell's ndarray
-    itself (threads backend; sliced by reference).  Either way the
-    worker takes its ``[start:stop)`` row-slice and falls back to
-    sampling its own rows when no block is usable -- results are
-    bit-identical in all three cases.  ``n_threads`` caps the native
-    kernels' in-kernel threading (pool runs pin it to 1 so worker-level
-    and kernel-level parallelism don't multiply).  Returns the chunk's
-    summary accumulator, not its ratio array, so the parent's memory
-    stays O(cells x chunks) regardless of n_trials.
+    ``spec`` is the cell's draw block (see :func:`chunk_draws`).
+    ``n_threads`` caps the native kernels' in-kernel threading (pool
+    runs pin it to 1 so worker-level and kernel-level parallelism don't
+    multiply).  Returns the chunk's summary accumulator, not its ratio
+    array, so the parent's memory stays O(cells x chunks) regardless of
+    n_trials.
     """
     algorithm, n, sampler, start, stop, seed, lam, spec, n_threads = args
-    draws = None
-    if isinstance(spec, np.ndarray):
-        draws = spec[start:stop]
-    elif spec is not None:
-        cell = shm.attached_draws(spec)
-        if cell is not None:
-            draws = cell[start:stop]
     ratios = trial_ratios(
         algorithm,
         n,
@@ -185,60 +189,135 @@ def _run_chunk(
         seed=seed,
         lam=lam,
         start=start,
-        draws=draws,
+        draws=chunk_draws(spec, start, stop),
         n_threads=n_threads,
     )
     return algorithm, n, start, RatioAccumulator().update(ratios)
 
 
-def _publish_cell_draws(
-    cells: Sequence[Tuple[str, int]],
-    chunks: Sequence[Tuple[int, int]],
-    config: StochasticConfig,
-    completed: Dict[str, Any],
-    *,
-    inline: bool = False,
-) -> Dict[Tuple[str, int], Tuple[Any, Any]]:
-    """Sample one draw block per cell that still has work.
+#: One cell of a chunked run: ``(label, draws)``.  Chunk ``[start, stop)``
+#: of the cell is journaled under the key ``f"{label}:{start}"``;
+#: ``draws`` is the ``(algorithm, N)`` whose draw matrix the chunks read,
+#: or ``None`` for a cell whose chunks sample lazily.
+Cell = Tuple[str, Optional[Tuple[str, int]]]
 
-    Only worth doing when ``n_jobs > 1``; cells whose chunks are all
-    journaled, whose matrices are empty (N = 1), or that would blow the
-    :func:`repro.experiments.shm.max_bytes` budget simply get no block
-    (their chunks sample for themselves).  With ``inline=False``
-    (process backend) each matrix is published to shared memory and the
-    value is ``(block, DrawSpec)``; with ``inline=True`` (threads
-    backend -- workers share this address space) the matrix is kept
-    as-is and the value is ``(None, ndarray)``.  Same budget, same rows,
-    so results are bit-identical across transports.
+
+def run_cells(
+    cells: Sequence[Cell],
+    task: Callable[[int, int, int, Any], Any],
+    worker: Callable[[Any], Any],
+    *,
+    n_trials: int,
+    chunk_size: int,
+    sampler: AlphaSampler,
+    seed: int,
+    n_jobs: int,
+    fingerprint: Dict[str, Any],
+    encode: Callable[[Any], Any],
+    decode: Callable[[Any], Any],
+    backend: str = "processes",
+    journal_path: Optional["str | os.PathLike[str]"] = None,
+    resume: bool = False,
+    chunk_timeout: Optional[float] = None,
+    chunk_retries: Optional[int] = None,
+    **supervise: Any,
+) -> List[List[Any]]:
+    """Run every trial chunk of every cell; each cell's results in chunk order.
+
+    ``task(i, start, stop, spec)`` builds the picklable task of chunk
+    ``[start, stop)`` of ``cells[i]`` for ``worker``; ``spec`` is the
+    cell's draw block, which the worker reads with :func:`chunk_draws`.
+    Blocks are published only when ``n_jobs > 1``, once per
+    ``(normalized algorithm, N)`` that still has unjournaled chunks, and
+    released when the run ends.  ``encode`` turns a chunk result into
+    its journal payload and ``decode`` turns a replayed payload back
+    into a result.  ``fingerprint`` binds the journal at
+    ``journal_path`` to the run's configuration.  The remaining keywords
+    go to :func:`~repro.experiments.checkpoint.execute_chunks`
+    (``chaos``, ``report``, ``strict``, ``rebuild_budget``,
+    ``run_deadline``, ``cancel_on_sigterm``).
+
+    Returns one list per cell, in cell order, holding its chunk results
+    in chunk-start order; a chunk quarantined under ``strict=False`` is
+    absent.  Two cells with one label would share journal keys and add
+    up each other's trials, so they raise :class:`ValueError` before any
+    chunk runs.
     """
+    labels = [label for label, _ in cells]
+    repeated = sorted(label for label, count in Counter(labels).items() if count > 1)
+    if repeated:
+        raise ValueError(f"duplicate cells: {', '.join(repeated)}")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    backend = normalize_backend(backend)
+    chunks = chunk_bounds(n_trials, chunk_size)
+    keys = [f"{label}:{start}" for label in labels for start, _ in chunks]
+    journal = (
+        ChunkJournal.open(journal_path, fingerprint=fingerprint, resume=resume)
+        if journal_path is not None
+        else None
+    )
     blocks: Dict[Tuple[str, int], Tuple[Any, Any]] = {}
-    budget = shm.max_bytes()
-    used = 0
-    for algo, n in cells:
-        cols = max(0, n - 1)
-        if cols == 0:
-            continue
-        if all(
-            f"{algo}:{n}:{start}" in completed for start, _ in chunks
-        ):
-            continue
-        nbytes = config.n_trials * cols * 8
-        if used + nbytes > budget:
-            continue
-        draws = draw_rows(
-            algo, n, config.sampler, seed=config.seed,
-            start=0, stop=config.n_trials, n_draws=cols,
+    block_keys = [
+        None if draws is None else (normalize_algorithm(draws[0]), draws[1])
+        for _, draws in cells
+    ]
+    try:
+        if n_jobs > 1:
+            completed = journal.completed if journal is not None else {}
+            budget = shm.max_bytes()
+            used = 0
+            for label, bkey in zip(labels, block_keys):
+                if bkey is None or bkey in blocks or bkey[1] < 2:
+                    continue
+                if all(f"{label}:{start}" in completed for start, _ in chunks):
+                    continue
+                cols = bkey[1] - 1
+                nbytes = n_trials * cols * 8
+                if used + nbytes > budget:
+                    continue
+                rows = draw_rows(
+                    *bkey, sampler, seed=seed, start=0, stop=n_trials, n_draws=cols
+                )
+                # Thread workers share this address space: no publish.
+                published = (
+                    (None, rows) if backend == "threads" else shm.publish_draws(rows)
+                )
+                del rows  # a published block holds its own copy
+                if published is not None:
+                    blocks[bkey] = published
+                    used += nbytes
+        tasks = [
+            task(i, start, stop, blocks[bkey][1] if bkey in blocks else None)
+            for i, bkey in enumerate(block_keys)
+            for start, stop in chunks
+        ]
+        raw = execute_chunks(
+            tasks,
+            worker,
+            keys=keys,
+            n_jobs=n_jobs,
+            journal=journal,
+            encode=encode,
+            decode=decode,
+            timeout=chunk_timeout,
+            retries=DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries,
+            backend=backend,
+            **supervise,
         )
-        if inline:
-            blocks[(algo, n)] = (None, draws)
-            used += nbytes
-            continue
-        published = shm.publish_draws(draws)
-        if published is None:
-            continue
-        blocks[(algo, n)] = published
-        used += nbytes
-    return blocks
+    finally:
+        for block, _ in blocks.values():
+            if block is not None:
+                shm.release_draws(block)
+        if journal is not None:
+            journal.close()
+    # Task order is cell-major and chunk-start ordered, so each cell's
+    # slice is already its merge order: a function of the cells alone.
+    per = len(chunks)
+    return [
+        [result for result in raw[i * per:(i + 1) * per] if result is not None]
+        for i in range(len(cells))
+    ]
 
 
 def sweep_fingerprint(config: StochasticConfig) -> Dict[str, Any]:
@@ -283,6 +362,21 @@ def _decode_sweep_chunk(payload: Dict[str, Any]) -> Tuple[str, int, int, RatioAc
         maximum=float(payload["maximum"]),
     )
     return payload["algorithm"], int(payload["n"]), int(payload["start"]), acc
+
+
+def encode_matrix_chunk(result: Tuple[int, np.ndarray]) -> Dict[str, Any]:
+    """Journal payload of a ``(start, matrix)`` chunk result.
+
+    JSON float repr round-trips exactly, so the payload is a bit-exact
+    serialisation of the per-trial metric matrix.
+    """
+    start, matrix = result
+    return {"start": start, "matrix": matrix.tolist()}
+
+
+def decode_matrix_chunk(payload: Dict[str, Any]) -> Tuple[int, np.ndarray]:
+    """Inverse of :func:`encode_matrix_chunk`."""
+    return int(payload["start"]), np.asarray(payload["matrix"], dtype=np.float64)
 
 
 def run_sweep(
@@ -333,97 +427,43 @@ def run_sweep(
     flushing completed chunks to the journal (see
     :func:`~repro.experiments.checkpoint.execute_chunks`).
     """
-    backend = normalize_backend(backend)
-    chunks = chunk_bounds(config.n_trials, config.effective_chunk_size)
-    cells = [
-        (algo, n) for algo in config.algorithms for n in config.n_values
-    ]
-    keys = [
-        f"{algo}:{n}:{start}"
-        for algo, n in cells
-        for start, _ in chunks
-    ]
-    retries = DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries
-    journal = (
-        ChunkJournal.open(
-            journal_path, fingerprint=sweep_fingerprint(config), resume=resume
-        )
-        if journal_path is not None
-        else None
-    )
+    cells = [(algo, n) for algo in config.algorithms for n in config.n_values]
     # Pool runs pin the kernels to one thread per chunk worker (worker- and
     # kernel-level parallelism must not multiply); serial runs let the
     # kernels thread internally (REPRO_NATIVE_THREADS / auto).
-    task_threads = 1 if config.n_jobs > 1 else None
-    blocks: Dict[Tuple[str, int], Tuple[Any, Any]] = {}
-    try:
-        if config.n_jobs > 1:
-            blocks = _publish_cell_draws(
-                cells,
-                chunks,
-                config,
-                journal.completed if journal is not None else {},
-                inline=backend == "threads",
-            )
-        tasks = [
-            (
-                algo,
-                n,
-                config.sampler,
-                start,
-                stop,
-                config.seed,
-                config.lam,
-                blocks[(algo, n)][1] if (algo, n) in blocks else None,
-                task_threads,
-            )
-            for algo, n in cells
-            for start, stop in chunks
-        ]
-        raw = execute_chunks(
-            tasks,
-            _run_chunk,
-            keys=keys,
-            n_jobs=config.n_jobs,
-            journal=journal,
-            encode=_encode_sweep_chunk,
-            decode=_decode_sweep_chunk,
-            timeout=chunk_timeout,
-            retries=retries,
-            backend=backend,
-            chaos=chaos,
-            report=report,
-            strict=strict,
-            rebuild_budget=rebuild_budget,
-            run_deadline=run_deadline,
-            cancel_on_sigterm=cancel_on_sigterm,
-        )
-    finally:
-        for block, _ in blocks.values():
-            if block is not None:
-                shm.release_draws(block)
-        if journal is not None:
-            journal.close()
-
-    # Reduce chunk accumulators per cell, always in chunk-start order:
-    # the merge tree is a function of the config alone, so statistics are
-    # bit-identical no matter how many workers computed the chunks.
-    per_cell: Dict[Tuple[str, int], List[Tuple[int, RatioAccumulator]]] = {
-        cell: [] for cell in cells
-    }
-    for chunk_result in raw:
-        if chunk_result is None:
-            # quarantined chunk under strict=False: its trials are absent
-            # from the cell's statistics (the report names the keys)
-            continue
-        algorithm, n, start, acc = chunk_result
-        per_cell[(algorithm, n)].append((start, acc))
-
+    threads = 1 if config.n_jobs > 1 else None
+    parts = run_cells(
+        [(f"{algo}:{n}", (algo, n)) for algo, n in cells],
+        lambda i, start, stop, spec: (
+            *cells[i], config.sampler, start, stop, config.seed, config.lam,
+            spec, threads,
+        ),
+        _run_chunk,
+        n_trials=config.n_trials,
+        chunk_size=config.effective_chunk_size,
+        sampler=config.sampler,
+        seed=config.seed,
+        n_jobs=config.n_jobs,
+        fingerprint=sweep_fingerprint(config),
+        encode=_encode_sweep_chunk,
+        decode=_decode_sweep_chunk,
+        backend=backend,
+        journal_path=journal_path,
+        resume=resume,
+        chunk_timeout=chunk_timeout,
+        chunk_retries=chunk_retries,
+        chaos=chaos,
+        report=report,
+        strict=strict,
+        rebuild_budget=rebuild_budget,
+        run_deadline=run_deadline,
+        cancel_on_sigterm=cancel_on_sigterm,
+    )
     alpha = config.sampler.alpha
     records = []
-    for algorithm, n in cells:
+    for (algorithm, n), chunk_results in zip(cells, parts):
         acc = RatioAccumulator()
-        for _, chunk_acc in sorted(per_cell[(algorithm, n)], key=lambda item: item[0]):
+        for _, _, _, chunk_acc in chunk_results:
             acc.merge(chunk_acc)
         records.append(
             SweepRecord(

@@ -24,15 +24,12 @@ Two engines compute the per-trial metrics (``engine=`` knob):
 
 Trial ``t`` of cell ``(algorithm, N)`` derives its generator from
 ``(seed, algorithm, N, t)`` exactly like the ratio sweeps
-(:func:`repro.experiments.stochastic.trial_ratios`), and scheduling is
-*trial-chunked* over a ``ProcessPoolExecutor``: chunk layout and merge
-order are functions of the parameters alone, so results are bit-identical
-for any ``n_jobs`` -- and identical between the two engines wherever the
-fastpath applies.  With ``n_jobs > 1`` the parent samples each cell's
-draw matrix once into a shared-memory block
-(:mod:`repro.experiments.shm`) and workers slice their chunk rows out of
-it -- a pure transport optimisation that cannot change results (the rows
-equal what each chunk would have sampled for itself).
+(:func:`repro.experiments.stochastic.trial_ratios`), and
+:func:`run_study_cells` runs the cells through the chunked-cell pipeline
+:func:`~repro.experiments.runner.run_cells` (chunking, journal, draw
+transport, supervised execution).  Results are bit-identical for any
+``n_jobs`` and backend, and identical between the two engines wherever
+the fastpath applies.
 """
 
 from __future__ import annotations
@@ -43,15 +40,17 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments import shm
-from repro.experiments.checkpoint import ChunkJournal, execute_chunks
+from repro.experiments.checkpoint import execute_chunks  # noqa: F401 - perfbench/spans.py patches it here
 from repro.experiments.config import (
-    DEFAULT_CHUNK_RETRIES,
     DEFAULT_STUDY_CHUNK_SIZE,
-    normalize_backend,
     normalize_engine,
 )
-from repro.experiments.runner import chunk_bounds
+from repro.experiments.runner import (
+    chunk_draws,
+    decode_matrix_chunk,
+    encode_matrix_chunk,
+    run_cells,
+)
 from repro.experiments.stochastic import _trial_factory, draw_rows, normalize_algorithm
 from repro.problems.prescribed import prescribed_problem
 from repro.problems.samplers import AlphaSampler, UniformAlpha
@@ -162,10 +161,11 @@ def study_trial_metrics(
     every cell the fastpath supports.
 
     ``draws`` optionally supplies the trials' draw matrix (a chunk's
-    row-slice of a shared-memory block, :mod:`repro.experiments.shm`);
-    it must equal what the cell's trial factory would sample for the
-    same range.  Non-central PHF phase 1 samples lazily and cannot take
-    a prescription matrix.
+    row-slice of its cell's draw block, see
+    :func:`~repro.experiments.runner.chunk_draws`); it must equal what
+    the cell's trial factory would sample for the same range.
+    Non-central PHF phase 1 samples lazily and cannot take a
+    prescription matrix.
 
     ``n_threads`` is forwarded to the fastpath's native kernels
     (in-kernel trial-block threading; bit-identical for every count).
@@ -229,19 +229,15 @@ def study_trial_metrics(
     return out
 
 
-def _study_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
+def _study_chunk(args) -> Tuple[int, np.ndarray]:
     """Worker: one trial chunk of one study cell (picklable).
 
-    ``spec`` optionally carries the cell's draw block, keyed by the
-    normalized algorithm and N so cells differing only in machine config
-    share one: a :class:`~repro.experiments.shm.DrawSpec` naming a
-    shared-memory block (process backend) or the ndarray itself (threads
-    backend).  Attach failure falls back to per-chunk sampling,
-    bit-identically.  ``n_threads`` caps the native kernels' in-kernel
-    threading (pool runs pin it to 1).
+    ``spec`` is the cell's draw block (see
+    :func:`~repro.experiments.runner.chunk_draws`).  ``n_threads`` caps
+    the native kernels' in-kernel threading (pool runs pin it to 1).
     """
     (
-        cell_key,
+        _cell_key,
         algorithm,
         n,
         sampler,
@@ -255,13 +251,6 @@ def _study_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
         spec,
         n_threads,
     ) = args
-    draws = None
-    if isinstance(spec, np.ndarray):
-        draws = spec[start:stop]
-    elif spec is not None:
-        cell = shm.attached_draws(spec)
-        if cell is not None:
-            draws = cell[start:stop]
     matrix = study_trial_metrics(
         algorithm,
         n,
@@ -273,10 +262,10 @@ def _study_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
         phf_phase1=phf_phase1,
         config=config,
         engine=engine,
-        draws=draws,
+        draws=chunk_draws(spec, start, stop),
         n_threads=n_threads,
     )
-    return cell_key, start, matrix
+    return start, matrix
 
 
 def study_fingerprint(
@@ -312,15 +301,6 @@ def study_fingerprint(
     }
 
 
-def _encode_study_chunk(
-    result: Tuple[Hashable, int, np.ndarray]
-) -> Dict[str, Any]:
-    cell_key, start, matrix = result
-    # JSON float repr round-trips exactly, so the matrix payload is a
-    # bit-exact serialisation.
-    return {"start": start, "matrix": matrix.tolist()}
-
-
 def run_study_cells(
     cells: Sequence[Tuple[Hashable, str, int, Optional[MachineConfig]]],
     sampler: AlphaSampler,
@@ -341,14 +321,15 @@ def run_study_cells(
     """Trial-chunked evaluation of many study cells.
 
     ``cells`` holds ``(cell_key, algorithm, n_processors, config)``
-    tuples.  Each cell's trial range is split into ``chunk_size`` work
-    units scheduled over a pool when ``n_jobs > 1`` -- a process pool
-    for ``backend="processes"``, an in-process thread pool over the
-    GIL-releasing native kernels for ``backend="threads"`` (see
-    :data:`~repro.experiments.config.BACKENDS`); chunk matrices are
-    concatenated in chunk-start order, so the returned
-    ``(n_trials, len(METRIC_COLUMNS))`` matrices are bit-identical for
-    any worker count and either backend.
+    tuples with distinct cell keys (a repeated key raises
+    :class:`ValueError`).  They run through
+    :func:`~repro.experiments.runner.run_cells` in ``chunk_size``-trial
+    chunks, over a process pool (``backend="processes"``) or a thread
+    pool over the GIL-releasing native kernels (``backend="threads"``)
+    when ``n_jobs > 1``.  Each cell's chunk matrices are concatenated in
+    chunk-start order, so the returned ``(n_trials,
+    len(METRIC_COLUMNS))`` matrices are bit-identical for any worker
+    count and either backend.
 
     ``journal_path``/``resume``/``chunk_timeout``/``chunk_retries``
     enable the crash-safe execution mode of
@@ -358,146 +339,56 @@ def run_study_cells(
     written under one backend resumes under the other.
     """
     engine = normalize_engine(engine)
-    backend = normalize_backend(backend)
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     size = chunk_size if chunk_size is not None else DEFAULT_STUDY_CHUNK_SIZE
-    chunks = chunk_bounds(n_trials, size)
-    keys = [
-        f"{cell_key!r}:{start}"
-        for cell_key, _, _, _ in cells
-        for start, _ in chunks
-    ]
-    cell_by_journal_key = {
-        f"{cell_key!r}:{start}": (cell_key, start)
-        for cell_key, _, _, _ in cells
-        for start, _ in chunks
-    }
-    retries = DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries
-    journal = (
-        ChunkJournal.open(
-            journal_path,
-            fingerprint=study_fingerprint(
-                cells,
-                sampler,
-                n_trials=n_trials,
-                seed=seed,
-                lam=lam,
-                phf_phase1=phf_phase1,
-                engine=engine,
-                chunk_size=size,
-            ),
-            resume=resume,
-        )
-        if journal_path is not None
-        else None
-    )
-    # Draw blocks are keyed by (normalized algorithm, N): the draw
-    # matrix depends on nothing else, so cells that differ only in
-    # machine config share one block.  Lazy-sampling cells (non-central
-    # PHF phase 1) get none.
-    blocks: Dict[Tuple[str, int], Any] = {}
-    try:
-        if n_jobs > 1:
-            completed = journal.completed if journal is not None else {}
-            budget = shm.max_bytes()
-            used = 0
-            for cell_key, algo, n, _config in cells:
-                akey = normalize_algorithm(algo)
-                bkey = (akey, n)
-                if bkey in blocks:
-                    continue
-                if akey == "phf" and phf_phase1 != "central":
-                    continue
-                if all(
-                    f"{cell_key!r}:{start}" in completed for start, _ in chunks
-                ):
-                    continue
-                cols = max(1, n - 1)
-                nbytes = n_trials * cols * 8
-                if used + nbytes > budget:
-                    continue
-                draws = draw_rows(
-                    akey, n, sampler, seed=seed, start=0, stop=n_trials, n_draws=cols
-                )
-                if backend == "threads":
-                    # Workers share this address space: hand the matrix
-                    # over by reference instead of a shm publish.
-                    blocks[bkey] = (None, draws)
-                    used += nbytes
-                    continue
-                published = shm.publish_draws(draws)
-                if published is None:
-                    continue
-                blocks[bkey] = published
-                used += nbytes
-        # Pool runs pin the kernels to one thread per chunk worker;
-        # serial runs let them thread internally (REPRO_NATIVE_THREADS).
-        task_threads = 1 if n_jobs > 1 else None
-        tasks = [
-            (
-                cell_key,
-                algo,
-                n,
-                sampler,
-                start,
-                stop,
-                seed,
-                lam,
-                phf_phase1,
-                config,
-                engine,
-                blocks[(normalize_algorithm(algo), n)][1]
-                if (normalize_algorithm(algo), n) in blocks
-                else None,
-                task_threads,
-            )
-            for cell_key, algo, n, config in cells
-            for start, stop in chunks
-        ]
-        raw = execute_chunks(
-            tasks,
-            _study_chunk,
-            keys=keys,
-            n_jobs=n_jobs,
-            journal=journal,
-            encode=_encode_study_chunk,
-            decode=None,
-            timeout=chunk_timeout,
-            retries=retries,
-            backend=backend,
-        )
-    finally:
-        for block, _ in blocks.values():
-            if block is not None:
-                shm.release_draws(block)
-        if journal is not None:
-            journal.close()
-    # Journal payloads come back as plain dicts; rebuild the worker's
-    # (cell_key, start, matrix) triple for those entries.
-    raw = [
-        item
-        if not isinstance(item, dict)
-        else (
-            cell_by_journal_key[keys[i]][0],
-            int(item["start"]),
-            np.asarray(item["matrix"], dtype=np.float64).reshape(
-                -1, len(METRIC_COLUMNS)
-            ),
-        )
-        for i, item in enumerate(raw)
-    ]
+    # Pool runs pin the kernels to one thread per chunk worker;
+    # serial runs let them thread internally (REPRO_NATIVE_THREADS).
+    threads = 1 if n_jobs > 1 else None
+    # Draw blocks are keyed by (normalized algorithm, N), so cells that
+    # differ only in machine config share one.  Lazily sampling cells
+    # (non-central PHF phase 1) read none.
+    lazy = phf_phase1 != "central"
 
-    per_cell: Dict[Hashable, List[Tuple[int, np.ndarray]]] = {
-        cell_key: [] for cell_key, _, _, _ in cells
-    }
-    for cell_key, start, matrix in raw:
-        per_cell[cell_key].append((start, matrix))
+    def task(i: int, start: int, stop: int, spec: Any) -> tuple:
+        cell_key, algo, n, config = cells[i]
+        return (cell_key, algo, n, sampler, start, stop, seed, lam,
+                phf_phase1, config, engine, spec, threads)
+
+    parts = run_cells(
+        [
+            (
+                repr(cell_key),
+                None if lazy and normalize_algorithm(algo) == "phf" else (algo, n),
+            )
+            for cell_key, algo, n, _ in cells
+        ],
+        task,
+        _study_chunk,
+        n_trials=n_trials,
+        chunk_size=size,
+        sampler=sampler,
+        seed=seed,
+        n_jobs=n_jobs,
+        fingerprint=study_fingerprint(
+            cells,
+            sampler,
+            n_trials=n_trials,
+            seed=seed,
+            lam=lam,
+            phf_phase1=phf_phase1,
+            engine=engine,
+            chunk_size=size,
+        ),
+        encode=encode_matrix_chunk,
+        decode=decode_matrix_chunk,
+        backend=backend,
+        journal_path=journal_path,
+        resume=resume,
+        chunk_timeout=chunk_timeout,
+        chunk_retries=chunk_retries,
+    )
     return {
-        cell_key: np.concatenate(
-            [m for _, m in sorted(parts, key=lambda item: item[0])], axis=0
-        )
-        for cell_key, parts in per_cell.items()
+        cell[0]: np.concatenate([m for _, m in chunk_results], axis=0)
+        for cell, chunk_results in zip(cells, parts)
     }
 
 

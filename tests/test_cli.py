@@ -199,6 +199,74 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
 
+class TestFlagScope:
+    """--journal/--resume and --chaos-profile/--deadline on an experiment
+    that cannot honour them are usage errors, not silently dropped."""
+
+    def _usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_fault_rejects_deadline_and_chaos(self, capsys):
+        err = self._usage_error(
+            capsys,
+            ["fault", "--trials", "2", "--deadline", "0.001",
+             "--chaos-profile", "smoke"],
+        )
+        assert "--chaos-profile/--deadline apply only to table1, figure5" in err
+        assert "not fault" in err
+
+    def test_runtime_rejects_journal_deadline_and_chaos(self, tmp_path, capsys):
+        journal = tmp_path / "rt.jsonl"
+        err = self._usage_error(
+            capsys,
+            ["runtime", "--max-n", "8", "--journal", str(journal),
+             "--deadline", "0.001", "--chaos-profile", "smoke"],
+        )
+        assert "--journal/--resume apply only to table1, figure5, fault" in err
+        assert not journal.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["runtime", "--journal", "JOURNAL"],
+            ["lambda", "--resume"],
+            ["topology", "--journal", "JOURNAL", "--resume"],
+            ["all", "--journal", "JOURNAL"],
+        ],
+    )
+    def test_journal_flags_rejected(self, argv, tmp_path, capsys):
+        journal = tmp_path / "j.jsonl"
+        argv = [str(journal) if a == "JOURNAL" else a for a in argv]
+        err = self._usage_error(capsys, argv)
+        assert "--journal/--resume apply only to table1, figure5, fault" in err
+        assert not journal.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["runtime", "--deadline", "1"],
+            ["fault", "--chaos-profile", "smoke"],
+            ["all", "--deadline", "1"],
+            ["report", "--chaos-profile", "smoke"],
+        ],
+    )
+    def test_supervise_flags_rejected(self, argv, capsys):
+        err = self._usage_error(capsys, argv)
+        assert "--chaos-profile/--deadline apply only to table1, figure5" in err
+
+    def test_help_names_the_honouring_experiments(self):
+        text = " ".join(build_parser().format_help().split())
+        assert "crash-safe mode for table1/figure5/fault only" in text
+        assert "with --journal (table1/figure5/fault only)" in text
+        assert "into the table1/figure5 sweep only" in text
+        assert "table1/figure5 only: cancel the sweep" in text
+
+
 class TestCancellation:
     """The --deadline and SIGTERM cancel paths: exit 130, a [run report]
     stderr line, a resume hint, and a bit-identical --resume."""

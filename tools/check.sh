@@ -106,16 +106,29 @@ for rec in clean:
 EOF
 
 echo "== smoke: journal truncate + cross-backend resume bit-identity =="
-# Interrupt a journaled sweep (truncate the journal mid-state), resume
-# it under the *other* execution backend, and require the merged result
-# to match an uninterrupted serial run bit for bit.
+# Interrupt a journaled run (truncate the journal mid-state), resume it
+# under the *other* execution backend, and require the merged result to
+# match an uninterrupted serial run bit for bit -- for a sweep, a
+# runtime-study cell and a fault-study cell.
 python - <<'EOF'
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from repro.experiments.config import StochasticConfig
+from repro.experiments.fault_study import run_fault_study
 from repro.experiments.runner import run_sweep
+from repro.experiments.runtime_study import run_study_cells
+from repro.problems.samplers import UniformAlpha
+
+
+def truncate(journal):
+    lines = journal.read_text().splitlines(keepends=True)
+    keep = 1 + (len(lines) - 1) // 2            # header + half the chunks
+    journal.write_text("".join(lines[:keep]) + '{"kind": "chu')  # torn tail
+
 
 config = StochasticConfig.paper_table1(
     n_trials=12, n_values=(4, 8), seed=11, chunk_size=4
@@ -127,13 +140,39 @@ assert threaded.records == plain.records, "threads backend is not bit-identical"
 with tempfile.TemporaryDirectory() as tmp:
     journal = Path(tmp) / "sweep.jsonl"
     run_sweep(pooled, backend="threads", journal_path=journal)
-    lines = journal.read_text().splitlines(keepends=True)
-    keep = 1 + (len(lines) - 1) // 2            # header + half the chunks
-    journal.write_text("".join(lines[:keep]) + '{"kind": "chu')  # torn tail
+    truncate(journal)
     resumed = run_sweep(
         pooled, backend="processes", journal_path=journal, resume=True
     )
-assert resumed.records == plain.records, "resume is not bit-identical"
+    assert resumed.records == plain.records, "resume is not bit-identical"
+
+    cells = [(("ba", 8), "ba", 8, None)]
+    study = dict(sampler=UniformAlpha(0.1, 0.5), n_trials=8, seed=11, chunk_size=2)
+    plain_study = run_study_cells(cells, **study)
+    journal = Path(tmp) / "study.jsonl"
+    run_study_cells(
+        cells, **study, n_jobs=2, backend="threads", journal_path=journal
+    )
+    truncate(journal)
+    resumed_study = run_study_cells(
+        cells, **study, n_jobs=2, backend="processes", journal_path=journal,
+        resume=True,
+    )
+    assert np.array_equal(resumed_study[("ba", 8)], plain_study[("ba", 8)]), (
+        "study resume is not bit-identical"
+    )
+
+    # the fault study has one (process) backend: pooled write, serial resume
+    fault = dict(algorithms=("ba",), n_values=(8,), fault_rates=(0.2,),
+                 n_trials=8, seed=11, chunk_size=2)
+    plain_fault = run_fault_study(**fault)
+    journal = Path(tmp) / "fault.jsonl"
+    run_fault_study(**fault, n_jobs=2, journal_path=journal)
+    truncate(journal)
+    resumed_fault = run_fault_study(**fault, journal_path=journal, resume=True)
+    assert resumed_fault.records == plain_fault.records, (
+        "fault-study resume is not bit-identical"
+    )
 EOF
 
 echo "== chaos: supervised sweep under injected faults + crash consistency =="
