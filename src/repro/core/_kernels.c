@@ -19,10 +19,12 @@
  * same IEEE-754 operations, in the same order, as the scalar Python fast
  * paths -- and heap ordering only permutes equal-weight pops, which
  * leaves the final weight multiset unchanged.  The PHF kernel reproduces
- * the generation-lockstep chronology of repro.simulator.fastpath (itself
- * bit-identical to the DES oracle): every float chain is evaluated with
- * the same association.  Must NOT be compiled with -ffast-math or the
- * products may be contracted/reassociated.
+ * the DES oracle's central phase-1 chronology on the complete network,
+ * where every send costs t_send and the generations advance in lockstep
+ * (repro.simulator.fastpath's per-trial replay is the Python fallback):
+ * every float chain is evaluated with the same association.  Must NOT
+ * be compiled with -ffast-math or the products may be
+ * contracted/reassociated.
  *
  * Trial-block threading: every kernel takes a trailing `n_threads` and
  * shards its trial range into at most that many *contiguous* blocks,
@@ -30,19 +32,15 @@
  * writes only its own output row / metric slots, so any thread count
  * computes bit-identical results by construction -- threading never
  * changes which float operations run for a trial, only which thread
- * runs them.  Two backends are selected at compile time by _native.py:
+ * runs them.  _native.py builds with -pthread -DREPRO_THREADS_PTHREAD:
+ * spawn-and-join pthreads per call.  Deliberately NOT a persistent
+ * pool: the experiment runners fork worker processes
+ * (ProcessPoolExecutor), and a library-held thread pool does not survive
+ * fork() -- children would inherit locked mutexes and dead threads.
+ * Per-call spawn keeps the library fork-safe and costs microseconds
+ * against kernel calls that run for milliseconds.
  *
- *   -DREPRO_THREADS_PTHREAD (-pthread)  -- spawn-and-join pthreads per
- *       call.  Deliberately NOT a persistent pool: the experiment
- *       runners fork worker processes (ProcessPoolExecutor), and a
- *       library-held thread pool does not survive fork() -- children
- *       would inherit locked mutexes and dead threads.  Per-call spawn
- *       keeps the library fork-safe and costs microseconds against
- *       kernel calls that run for milliseconds.
- *   -DREPRO_THREADS_OPENMP (-fopenmp)   -- optional OpenMP path (probed
- *       at build time); same contiguous block decomposition.
- *
- * With neither define the block runner degrades to one inline call
+ * Without the define the block runner degrades to one inline call
  * (serial), so the source always compiles with a bare C99 toolchain.
  */
 
@@ -52,9 +50,6 @@
 #if defined(REPRO_THREADS_PTHREAD)
 #include <pthread.h>
 #define REPRO_THREAD_BACKEND 1
-#elif defined(REPRO_THREADS_OPENMP)
-#include <omp.h>
-#define REPRO_THREAD_BACKEND 2
 #else
 #define REPRO_THREAD_BACKEND 0
 #endif
@@ -64,7 +59,7 @@
 #define REPRO_MAX_THREADS 128
 
 /* Which threading backend this library was compiled with: 0 = serial,
- * 1 = pthread, 2 = OpenMP.  The Python side reports this as the
+ * 1 = pthread.  The Python side reports this as the
  * threading mode and records it in benchmark artifacts. */
 int repro_threading_backend(void)
 {
@@ -146,13 +141,6 @@ static int for_each_trial_block(void (*fn)(void *, long, long, int *),
             run_trial_block(&blocks[b]);
         for (b = 0; b < spawned; ++b)
             pthread_join(tids[b], NULL);
-    }
-#elif REPRO_THREAD_BACKEND == 2
-    {
-        int i;
-#pragma omp parallel for num_threads((int)nb) schedule(static)
-        for (i = 0; i < (int)nb; ++i)
-            run_trial_block(&blocks[i]);
     }
 #endif
     for (b = 0; b < nb; ++b) {
@@ -516,7 +504,8 @@ typedef struct {
     long *status;
 } phf_ctx;
 
-/* Per-trial PHF replay of the generation-lockstep fastpath.  Outputs
+/* Per-trial PHF on the complete network: phase 1 in generation
+ * lockstep, then the band-peeling rounds of phase 2.  Outputs
  * (one slot per trial): makespan, collective time, collective count,
  * control messages, max final weight and a status code (0 ok, 1 phase 1
  * ran out of free processors, 2 phase 2 failed to converge).  Block

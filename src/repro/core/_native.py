@@ -1,13 +1,13 @@
 """Optional C fast paths for the batched kernels and the PHF fastpath.
 
-The lockstep NumPy kernels in :mod:`repro.core.batch` and
-:mod:`repro.simulator.fastpath` are exact but memory-bound: every
-bisection pays a few fancy-indexed gathers across the whole batch, which
-caps them near the scalar loops at large N.  The per-trial loops are a
-few hundred lines of C, so this module compiles :file:`_kernels.c` on
-demand with whatever system compiler is available (``cc``/``gcc``/
-``clang``) and loads it through :mod:`ctypes` -- no build step, no new
-Python dependency.  It exposes five kernels:
+The NumPy kernels in :mod:`repro.core.batch` and the Python fallbacks
+in :mod:`repro.simulator.fastpath` are exact but slow: every bisection
+pays a few fancy-indexed gathers across the whole batch (or a Python
+loop step per trial), which caps them near the scalar loops at large
+N.  The per-trial loops are a few hundred lines of C, so this module
+compiles :file:`_kernels.c` on demand with whatever system compiler is
+available (``cc``/``gcc``/``clang``) and loads it through :mod:`ctypes`
+-- no build step, no new Python dependency.  It exposes five kernels:
 
 * :func:`hf_batch_native`   -- HF final weights (hold-back 8-ary heap)
 * :func:`ba_batch_native`   -- BA final weights (explicit DFS stack)
@@ -22,26 +22,20 @@ Everything here degrades gracefully: if there is no compiler, the build
 fails, or ``REPRO_NO_NATIVE`` is set in the environment, callers get
 ``None``/``False`` and fall back to the pure-NumPy kernels.  The shared
 object is cached under the system temp directory, keyed by a hash of the
-source text, *the compiler version* and the threading mode, so it
-compiles once per machine and toolchain, not once per process; one-line
-logs record whether the compile was skipped (cache hit), performed, or
-failed, and which threading mode was chosen.
+source text and *the compiler version*, so it compiles once per machine
+and toolchain, not once per process: a fresh pool worker on a warm cache
+loads the artifact without running the compiler.  One-line logs record
+whether the compile was skipped (cache hit), performed, or failed.
 
-Threading: the first usable mode of ``pthread``, ``openmp`` is compiled
-in (pthread preferred -- its per-call spawn-and-join has no persistent
-state and is therefore fork-safe under the process pool, unlike OpenMP's
-cached thread teams), else serial.  A mode is usable when its cached
-artifact exists or its flag compiles and links in a probe; the ~60 ms
-probe runs only when no cached artifact exists for the mode, so fresh
-pool workers on a warm cache skip it (it was the ``native.load`` layer,
-37% of ``table1_journal``'s wall time, in ``perfbench/results/``).  The
-kernels shard their trial range into contiguous blocks, one per thread.
-Blocks write disjoint output rows, so results are bit-identical for
-every thread count.  ``REPRO_NATIVE_THREAD_MODE`` forces a mode
-(``pthread`` / ``openmp`` / ``serial``); ``REPRO_NATIVE_THREADS`` sets
-the default thread count (``auto``/``0``/unset means
-:func:`os.cpu_count`), and every wrapper takes an explicit
-``n_threads`` override.
+Threading: the library is built with ``-pthread`` -- per-call
+spawn-and-join threads with no persistent state, so it is fork-safe
+under the process pool -- or, if the toolchain rejects that flag,
+serial, into the same cache entry.  The kernels shard their trial range
+into contiguous blocks, one per thread.  Blocks write disjoint output
+rows, so results are bit-identical for every thread count.
+``REPRO_NATIVE_THREADS`` sets the default thread count
+(``auto``/``0``/unset means :func:`os.cpu_count`), and every wrapper
+takes an explicit ``n_threads`` override.
 """
 
 from __future__ import annotations
@@ -83,39 +77,11 @@ _load_attempted = False
 
 _compiler_version_cache: Dict[str, str] = {}
 
-# Threading modes in probe-preference order, and the extra compile flags
-# each one needs.  pthread before OpenMP: both scale identically here,
-# but libgomp keeps its thread team alive between calls, which does not
-# survive fork() into ProcessPoolExecutor workers; the pthread path
-# spawns and joins per call and is fork-safe by construction.
-_THREAD_MODE_FLAGS: Dict[str, Tuple[str, ...]] = {
-    "pthread": ("-pthread", "-DREPRO_THREADS_PTHREAD"),
-    "openmp": ("-fopenmp", "-DREPRO_THREADS_OPENMP"),
-    "serial": (),
-}
-_THREAD_BACKEND_NAMES = {0: "serial", 1: "pthread", 2: "openmp"}
-
-_thread_probe_cache: Dict[Tuple[str, str], bool] = {}
-_thread_mode_cache: Dict[str, str] = {}
-
-# Minimal translation units used to probe whether a threading flag both
-# compiles and links on this toolchain.
-_PROBE_SOURCES = {
-    "pthread": (
-        "#include <pthread.h>\n"
-        "static void *probe_main(void *arg) { return arg; }\n"
-        "int probe(void) { pthread_t t;\n"
-        "    if (pthread_create(&t, 0, probe_main, 0)) return 1;\n"
-        "    return pthread_join(t, 0); }\n"
-    ),
-    "openmp": (
-        "#include <omp.h>\n"
-        "int probe(void) { int s = 0; int i;\n"
-        "#pragma omp parallel for reduction(+:s)\n"
-        "    for (i = 0; i < 4; ++i) s += i;\n"
-        "    return s; }\n"
-    ),
-}
+# Spawn-and-join pthreads per call (no thread state outlives a kernel
+# call, so the library survives fork() into pool workers); a toolchain
+# that rejects -pthread gets a serial build instead.
+_PTHREAD_FLAGS = ("-pthread", "-DREPRO_THREADS_PTHREAD")
+_THREAD_BACKEND_NAMES = {0: "serial", 1: "pthread"}
 
 
 def _disabled() -> bool:
@@ -151,84 +117,10 @@ def _compiler_version(compiler: str) -> str:
     return version
 
 
-def _probe_thread_flag(compiler: str, mode: str) -> bool:
-    """True when ``mode``'s flag compiles AND links (memoized)."""
-    key = (compiler, mode)
-    cached = _thread_probe_cache.get(key)
-    if cached is not None:
-        return cached
-    flags = _THREAD_MODE_FLAGS[mode]
-    ok = False
-    tmp_dir = tempfile.mkdtemp(prefix="repro-thread-probe-")
-    try:
-        src_path = os.path.join(tmp_dir, "probe.c")
-        with open(src_path, "w", encoding="utf-8") as fh:
-            fh.write(_PROBE_SOURCES[mode])
-        proc = subprocess.run(
-            [compiler, *flags, "-shared", "-fPIC", "-o",
-             os.path.join(tmp_dir, "probe.so"), src_path],
-            capture_output=True,
-            timeout=60,
-            check=False,
-        )
-        ok = proc.returncode == 0
-    except Exception:
-        ok = False
-    finally:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-    # Memoized toolchain fact, same rationale as _compiler_version.
-    _thread_probe_cache[key] = ok  # repro-lint: disable=R104
-    return ok
-
-
-def _threading_mode(compiler: str, source: bytes, compiler_version: str) -> str:
-    """Pick the threading mode to compile in (memoized per compiler).
-
-    ``REPRO_NATIVE_THREAD_MODE`` forces a mode (falling back to serial
-    when it is unusable); otherwise the first usable of pthread, openmp
-    wins, else serial.  A candidate is usable when its artifact for
-    ``source``/``compiler_version`` is already cached, else when its flag
-    probes clean -- so the probe runs only when no cached artifact exists
-    for the mode, and the choice matches the probe-only order.  Logs the
-    chosen mode once.
-    """
-    cached = _thread_mode_cache.get(compiler)
-    if cached is not None:
-        return cached
-    forced = os.environ.get("REPRO_NATIVE_THREAD_MODE", "").strip().lower()
-    if forced and forced not in _THREAD_MODE_FLAGS:
-        _logger.warning(
-            "ignoring unknown REPRO_NATIVE_THREAD_MODE=%r "
-            "(expected pthread/openmp/serial)", forced
-        )
-        forced = ""
-    candidates = (forced,) if forced else ("pthread", "openmp")
-    mode = "serial"
-    for candidate in candidates:
-        artifact = os.path.join(
-            _cache_dir(source, compiler_version, candidate), _LIB_BASENAME
-        )
-        if (
-            candidate == "serial"
-            or os.path.exists(artifact)
-            or _probe_thread_flag(compiler, candidate)
-        ):
-            mode = candidate
-            break
-    flags = " ".join(_THREAD_MODE_FLAGS[mode]) or "none"
-    _logger.info("native kernels threading mode: %s (flags: %s)", mode, flags)
-    # Memoized toolchain fact, same rationale as _compiler_version.
-    _thread_mode_cache[compiler] = mode  # repro-lint: disable=R104
-    return mode
-
-
-def _cache_dir(source: bytes, compiler_version: str, thread_mode: str) -> str:
+def _cache_dir(source: bytes, compiler_version: str) -> str:
     uid = getattr(os, "getuid", lambda: 0)()
     digest = hashlib.sha256(
-        source
-        + sys.platform.encode()
-        + compiler_version.encode()
-        + thread_mode.encode()
+        source + sys.platform.encode() + compiler_version.encode()
     ).hexdigest()[:16]
     return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}-{digest}")
 
@@ -304,6 +196,19 @@ def _declare(lib: ctypes.CDLL) -> None:
     ]
 
 
+def _compile(compiler: str, flags: Tuple[str, ...], out_path: str) -> None:
+    # -O2 with contraction off: -ffast-math or FMA contraction would
+    # break bit-exactness vs the scalar path (see the contract in
+    # _kernels.c).
+    subprocess.run(
+        [compiler, "-O2", "-std=c99", "-ffp-contract=off", *flags,
+         "-shared", "-fPIC", "-o", out_path, _SOURCE_PATH, "-lm"],
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+
+
 def _build() -> Optional[ctypes.CDLL]:
     """Compile (if needed), load, and type-check the shared library."""
     with open(_SOURCE_PATH, "rb") as fh:
@@ -312,9 +217,7 @@ def _build() -> Optional[ctypes.CDLL]:
     if compiler is None:
         _logger.warning("native kernels disabled: no system C compiler found")
         return None
-    version = _compiler_version(compiler)
-    thread_mode = _threading_mode(compiler, source, version)
-    cache_dir = _cache_dir(source, version, thread_mode)
+    cache_dir = _cache_dir(source, _compiler_version(compiler))
     lib_path = os.path.join(cache_dir, _LIB_BASENAME)
     if os.path.exists(lib_path):
         _logger.debug("native kernel compile skipped: cache hit at %s", lib_path)
@@ -323,27 +226,11 @@ def _build() -> Optional[ctypes.CDLL]:
         fd, tmp_path = tempfile.mkstemp(suffix=".so", dir=cache_dir)
         os.close(fd)
         try:
-            # -O2 with contraction off: -ffast-math or FMA contraction
-            # would break bit-exactness vs the scalar path (see the
-            # contract in _kernels.c).
-            subprocess.run(
-                [
-                    compiler,
-                    "-O2",
-                    "-std=c99",
-                    "-ffp-contract=off",
-                    *_THREAD_MODE_FLAGS[thread_mode],
-                    "-shared",
-                    "-fPIC",
-                    "-o",
-                    tmp_path,
-                    _SOURCE_PATH,
-                    "-lm",
-                ],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
+            try:
+                _compile(compiler, _PTHREAD_FLAGS, tmp_path)
+            except subprocess.CalledProcessError:
+                _logger.info("-pthread rejected; building the kernels serial")
+                _compile(compiler, (), tmp_path)
             os.replace(tmp_path, lib_path)
             _logger.info("native kernels compiled with %s -> %s", compiler, lib_path)
         finally:
@@ -382,8 +269,8 @@ def native_available() -> bool:
 def native_threading_mode() -> Optional[str]:
     """Threading mode compiled into the loaded library, or ``None``.
 
-    One of ``"pthread"``, ``"openmp"``, ``"serial"`` (the library
-    reports what it was actually built with, not what was requested);
+    ``"pthread"``, or ``"serial"`` when the toolchain rejected
+    ``-pthread`` (the library reports what it was actually built with);
     ``None`` when the native kernels are unavailable.
     """
     lib = _load()

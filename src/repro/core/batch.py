@@ -13,20 +13,23 @@ one recursion level) per vectorized NumPy step:
 * :func:`hf_final_weights_batch` -- HF over a ``(n_trials, N)`` weight
   table.  Two interchangeable formulations: an **argmax frontier** (one
   row-wise ``argmax`` per bisection; O(N) elements scanned per trial per
-  step, unbeatable constants for small N) and an **array heap** (a binary
-  max-heap per trial laid out in the rows of one array, with masked
-  vectorized sift-down/sift-up across trials; O(log N) vector steps per
-  bisection, the winner for large N).  Both produce the same final-weight
-  multiset as the scalar ``heapq`` loop -- equal-weight ties may pop in a
-  different order, but swapping the pop order of equal weights provably
-  leaves the resulting weight multiset unchanged.
+  step, unbeatable constants up to thousands of processors) and an
+  **array heap** (a wide max-heap per trial laid out in the rows of one
+  array, with masked vectorized sift-down/sift-up across trials; O(log N)
+  vector steps per bisection, the winner only when both N and N·T are
+  large -- :func:`numpy_hf_method` holds the measured rule).  Both
+  produce the same final-weight multiset as the scalar ``heapq`` loop --
+  equal-weight ties may pop in a different order, but swapping the pop
+  order of equal weights provably leaves the resulting weight multiset
+  unchanged.
 
 * :func:`ba_final_weights_batch` / :func:`bahf_final_weights_batch` --
-  level-order frontier vectorization of the BA recursion: each step
-  splits *all* active ``(weight, n)`` nodes of all trials at once.  The
-  scalar paths consume one α̂ draw per bisection in DFS pre-order; a node
-  that owns ``n`` processors consumes exactly ``n - 1`` draws in its
-  subtree, so the DFS draw index of every node can be computed
+  one level-order frontier vectorization of the BA recursion (plain BA
+  is BA-HF without an HF phase): each step splits *all* active
+  ``(weight, n)`` nodes of all trials at once.  The scalar paths
+  consume one α̂ draw per bisection in DFS pre-order; a node that owns
+  ``n`` processors consumes exactly ``n - 1`` draws in its subtree, so
+  the DFS draw index of every node can be computed
   *analytically* during the level-order sweep (root at offset ``o`` uses
   draw ``o``; its heavier child starts at ``o + 1``, the lighter one at
   ``o + n1``).  Every leaf weight is therefore bit-identical to the
@@ -53,9 +56,27 @@ __all__ = [
     "bahf_final_weights_batch",
 ]
 
-#: Below this N the argmax frontier beats the array heap (fewer, larger
-#: NumPy calls); above it the heap's O(log N) vector steps win.
-HEAP_MIN_N = 128
+#: The NumPy HF kernel choice, measured without a compiler (frontier vs
+#: heap, ms): N=1024 T=256 189 vs 396; N=4096 T=64 619 vs 1018, T=128
+#: 1377 vs 1257; N=8192 T=32 1131 vs 1654, T=64 3115 vs 2227; N=16384
+#: T=16 2047 vs 2317, T=32 4939 vs 2840.  The frontier's O(N) argmax per
+#: bisection costs O(N^2·T) in all, while the heap pays a fixed overhead
+#: of many small NumPy calls per bisection and grows only slowly with T,
+#: so the heap wins only at large N *and* large N·T.
+HEAP_MIN_N = 4096
+HEAP_MIN_WORK = 1 << 19
+
+
+def numpy_hf_method(n_processors: int, n_trials: int) -> str:
+    """The faster NumPy HF kernel for a ``(n_trials, n_processors)`` batch.
+
+    ``"heap"`` when ``N >= HEAP_MIN_N`` and ``N·T >= HEAP_MIN_WORK``,
+    else ``"frontier"``.  Both give the same final-weight multisets, so
+    the choice never changes a result.
+    """
+    if n_processors >= HEAP_MIN_N and n_processors * n_trials >= HEAP_MIN_WORK:
+        return "heap"
+    return "frontier"
 
 
 # ----------------------------------------------------------------------
@@ -250,10 +271,10 @@ def hf_final_weights_batch(
     path for the same draws).
 
     ``method`` is ``"frontier"``, ``"heap"``, ``"native"`` or ``"auto"``.
-    ``"auto"`` uses the frontier for ``n_processors < HEAP_MIN_N`` and the
-    compiled C heap above (falling back to the NumPy heap when no system
-    compiler is available -- see :mod:`repro.core._native`); asking for
-    ``"native"`` explicitly raises if the compiled kernel is unavailable.
+    ``"auto"`` uses the compiled C heap, falling back to the NumPy kernel
+    :func:`numpy_hf_method` picks when no system compiler is available
+    (see :mod:`repro.core._native`); asking for ``"native"`` explicitly
+    raises if the compiled kernel is unavailable.
     ``n_threads`` shards the native kernel's trials across in-kernel
     threads (``None`` defers to ``REPRO_NATIVE_THREADS`` / auto); results
     are bit-identical for every count, and the NumPy paths ignore it.
@@ -268,7 +289,7 @@ def hf_final_weights_batch(
         out = _native.hf_batch_native(w0, n_processors, draws, n_threads)
         if out is not None:
             return out
-        method = "frontier" if n_processors < HEAP_MIN_N else "heap"
+        method = numpy_hf_method(n_processors, draws.shape[0])
     if method == "frontier":
         return _hf_frontier(w0, n_processors, draws)
     if method == "heap":
@@ -344,129 +365,18 @@ def _rows_to_matrix(
     return weights[order].reshape(n_trials, n_processors)
 
 
-def ba_final_weights_batch(
-    initial_weight: Union[float, np.ndarray],
-    n_processors: int,
-    alpha_draws,
-    *,
-    method: str = "auto",
-    n_threads: Optional[int] = None,
+def _level_order(
+    w0: np.ndarray, n_processors: int, draws: np.ndarray, threshold: float
 ) -> np.ndarray:
-    """Batched :func:`~repro.core.ba.ba_final_weights` (no skip threshold).
+    """NumPy BA / BA-HF: level-order splits, HF sub-jobs below ``threshold``.
 
-    Row ``t`` of ``alpha_draws`` supplies the draws the scalar recursion
-    would consume in DFS pre-order; exactly ``n_processors - 1`` are used
-    per trial, and every leaf weight is bit-identical to the scalar path.
-    Returns the ``(n_trials, n_processors)`` final weights (per-row order
-    unspecified).
-
-    ``method`` is ``"frontier"``, ``"native"`` or ``"auto"``.  ``"auto"``
-    prefers the compiled C recursion (see :mod:`repro.core._native`) and
-    falls back to the NumPy level-order frontier when no system compiler
-    is available; asking for ``"native"`` explicitly raises if the
-    compiled kernel is unavailable.  ``n_threads`` is the native kernel's
-    in-kernel thread count (bit-identical for every value; ignored by the
-    NumPy path).
+    Nodes with ``n < threshold`` stop splitting: single processors are
+    leaves, larger nodes become HF sub-jobs grouped by processor count
+    and finished with the NumPy HF kernel :func:`numpy_hf_method` picks,
+    on their draw slices (``draws[t, off : off + n - 1]``, the scalar DFS
+    consumption order).
     """
-    if n_processors < 1:
-        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    if method not in ("auto", "frontier", "native"):
-        raise ValueError(
-            f"unknown method {method!r} (use 'auto', 'frontier' or 'native')"
-        )
-    draws = _as_draw_matrix(alpha_draws, n_processors - 1)
     n_trials = draws.shape[0]
-    w0 = _as_initial_weights(initial_weight, n_trials)
-    if n_processors == 1:
-        return w0[:, None].copy()
-    if method in ("auto", "native"):
-        out = _native.ba_batch_native(w0, n_processors, draws, n_threads)
-        if out is not None:
-            return out
-        if method == "native":
-            raise RuntimeError(
-                "compiled BA kernel unavailable (no system C compiler, the "
-                "build failed, or REPRO_NO_NATIVE is set)"
-            )
-
-    leaf_trials: List[np.ndarray] = []
-    leaf_weights: List[np.ndarray] = []
-    trial = np.arange(n_trials, dtype=np.intp)
-    w = w0.copy()
-    n = np.full(n_trials, n_processors, dtype=np.int64)
-    off = np.zeros(n_trials, dtype=np.int64)
-    while trial.size:
-        done = n == 1
-        if done.any():
-            leaf_trials.append(trial[done])
-            leaf_weights.append(w[done])
-            active = ~done
-            trial, w, n, off = trial[active], w[active], n[active], off[active]
-            if trial.size == 0:
-                break
-        a = draws[trial, off]
-        w1, w2, n1, n2, off1 = _split_level(w, n, off, a)
-        trial = np.concatenate([trial, trial])
-        w = np.concatenate([w1, w2])
-        n = np.concatenate([n1, n2])
-        off = np.concatenate([off1, off + n1])
-    return _rows_to_matrix(leaf_trials, leaf_weights, n_trials, n_processors)
-
-
-def bahf_final_weights_batch(
-    initial_weight: Union[float, np.ndarray],
-    n_processors: int,
-    alpha_draws,
-    *,
-    alpha: float,
-    lam: float = 1.0,
-    method: str = "auto",
-    hf_method: str = "auto",
-    n_threads: Optional[int] = None,
-) -> np.ndarray:
-    """Batched :func:`~repro.core.bahf.bahf_final_weights`.
-
-    BA-phase nodes are expanded level by level exactly as in
-    :func:`ba_final_weights_batch`; nodes that fall below the switch-over
-    threshold ``λ/α + 1`` become HF sub-jobs, which are grouped by
-    processor count and finished with :func:`hf_final_weights_batch` on
-    their draw slices (``draws[t, off : off + n - 1]``, matching the
-    scalar DFS consumption order).
-
-    ``method`` is ``"frontier"``, ``"native"`` or ``"auto"``.  ``"auto"``
-    prefers the compiled C kernel (which runs both phases in one pass --
-    see :mod:`repro.core._native`) and falls back to the NumPy frontier
-    when no system compiler is available; asking for ``"native"``
-    explicitly raises if the compiled kernel is unavailable.
-    ``hf_method`` selects the kernel for the NumPy path's HF sub-jobs.
-    ``n_threads`` is the native kernel's in-kernel thread count
-    (bit-identical for every value; forwarded to native HF sub-jobs on
-    the NumPy path).
-    """
-    if n_processors < 1:
-        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    if method not in ("auto", "frontier", "native"):
-        raise ValueError(
-            f"unknown method {method!r} (use 'auto', 'frontier' or 'native')"
-        )
-    threshold = bahf_threshold(alpha, lam)
-    draws = _as_draw_matrix(alpha_draws, n_processors - 1)
-    n_trials = draws.shape[0]
-    w0 = _as_initial_weights(initial_weight, n_trials)
-    if n_processors == 1:
-        return w0[:, None].copy()
-    if method in ("auto", "native"):
-        out = _native.bahf_batch_native(
-            w0, n_processors, draws, threshold, n_threads
-        )
-        if out is not None:
-            return out
-        if method == "native":
-            raise RuntimeError(
-                "compiled BA-HF kernel unavailable (no system C compiler, the "
-                "build failed, or REPRO_NO_NATIVE is set)"
-            )
-
     leaf_trials: List[np.ndarray] = []
     leaf_weights: List[np.ndarray] = []
     hf_trials: List[np.ndarray] = []
@@ -514,8 +424,108 @@ def bahf_final_weights_batch(
             g_draws = draws[g_trial[:, None], g_off[:, None] + np.arange(sub_n - 1)]
             sub = hf_final_weights_batch(
                 job_w[group], int(sub_n), g_draws,
-                method=hf_method, n_threads=n_threads,
+                method=numpy_hf_method(int(sub_n), g_trial.size),
             )
             leaf_trials.append(np.repeat(g_trial, int(sub_n)))
             leaf_weights.append(sub.ravel())
     return _rows_to_matrix(leaf_trials, leaf_weights, n_trials, n_processors)
+
+
+def _ba_entry(
+    initial_weight: Union[float, np.ndarray],
+    n_processors: int,
+    alpha_draws,
+    method: str,
+    n_threads: Optional[int],
+    alpha: Optional[float] = None,
+    lam: float = 1.0,
+) -> np.ndarray:
+    """Shared BA / BA-HF entry; ``alpha=None`` is plain BA."""
+    if n_processors < 1:
+        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
+    if method not in ("auto", "frontier", "native"):
+        raise ValueError(
+            f"unknown method {method!r} (use 'auto', 'frontier' or 'native')"
+        )
+    threshold = None if alpha is None else bahf_threshold(alpha, lam)
+    draws = _as_draw_matrix(alpha_draws, n_processors - 1)
+    w0 = _as_initial_weights(initial_weight, draws.shape[0])
+    if n_processors == 1:
+        return w0[:, None].copy()
+    if method in ("auto", "native"):
+        if threshold is None:
+            out = _native.ba_batch_native(w0, n_processors, draws, n_threads)
+        else:
+            out = _native.bahf_batch_native(
+                w0, n_processors, draws, threshold, n_threads
+            )
+        if out is not None:
+            return out
+        if method == "native":
+            name = "BA" if threshold is None else "BA-HF"
+            raise RuntimeError(
+                f"compiled {name} kernel unavailable (no system C compiler, "
+                "the build failed, or REPRO_NO_NATIVE is set)"
+            )
+    # Plain BA is the BA-HF loop with no HF phase: threshold 2 stops
+    # every node at one processor.
+    return _level_order(
+        w0, n_processors, draws, 2.0 if threshold is None else threshold
+    )
+
+
+def ba_final_weights_batch(
+    initial_weight: Union[float, np.ndarray],
+    n_processors: int,
+    alpha_draws,
+    *,
+    method: str = "auto",
+    n_threads: Optional[int] = None,
+) -> np.ndarray:
+    """Batched :func:`~repro.core.ba.ba_final_weights` (no skip threshold).
+
+    Row ``t`` of ``alpha_draws`` supplies the draws the scalar recursion
+    would consume in DFS pre-order; exactly ``n_processors - 1`` are used
+    per trial, and every leaf weight is bit-identical to the scalar path.
+    Returns the ``(n_trials, n_processors)`` final weights (per-row order
+    unspecified).
+
+    ``method`` is ``"frontier"``, ``"native"`` or ``"auto"``.  ``"auto"``
+    prefers the compiled C recursion (see :mod:`repro.core._native`) and
+    falls back to the NumPy level-order frontier when no system compiler
+    is available; asking for ``"native"`` explicitly raises if the
+    compiled kernel is unavailable.  ``n_threads`` is the native kernel's
+    in-kernel thread count (bit-identical for every value; ignored by the
+    NumPy path).
+    """
+    return _ba_entry(initial_weight, n_processors, alpha_draws, method, n_threads)
+
+
+def bahf_final_weights_batch(
+    initial_weight: Union[float, np.ndarray],
+    n_processors: int,
+    alpha_draws,
+    *,
+    alpha: float,
+    lam: float = 1.0,
+    method: str = "auto",
+    n_threads: Optional[int] = None,
+) -> np.ndarray:
+    """Batched :func:`~repro.core.bahf.bahf_final_weights`.
+
+    BA-phase nodes are expanded level by level exactly as in
+    :func:`ba_final_weights_batch`; nodes that fall below the switch-over
+    threshold ``λ/α + 1`` become HF sub-jobs (see :func:`_level_order`).
+
+    ``method`` is ``"frontier"``, ``"native"`` or ``"auto"``.  ``"auto"``
+    prefers the compiled C kernel (which runs both phases in one pass --
+    see :mod:`repro.core._native`) and falls back to the NumPy frontier
+    when no system compiler is available; asking for ``"native"``
+    explicitly raises if the compiled kernel is unavailable.
+    ``n_threads`` is the native kernel's in-kernel thread count
+    (bit-identical for every value; ignored by the NumPy path).
+    """
+    return _ba_entry(
+        initial_weight, n_processors, alpha_draws, method, n_threads,
+        alpha=alpha, lam=lam,
+    )

@@ -48,10 +48,10 @@ import numpy as np
 
 from repro.chaos import ChaosSpec, RunReport
 from repro.core.batch import (
-    HEAP_MIN_N,
     ba_final_weights_batch,
     bahf_final_weights_batch,
     hf_final_weights_batch,
+    numpy_hf_method,
 )
 from repro.experiments.checkpoint import execute_chunks
 from repro.experiments.stochastic import draw_rows
@@ -70,10 +70,10 @@ class BatchFailedError(RuntimeError):
     """The batch carrying this request was quarantined; maps to HTTP 500."""
 
 
-def _fallback_method(algorithm: str, n: int) -> str:
+def _fallback_method(algorithm: str, n: int, n_trials: int) -> str:
     """The NumPy reference kernel for the degraded path."""
     if algorithm in ("hf", "phf"):
-        return "frontier" if n < HEAP_MIN_N else "heap"
+        return numpy_hf_method(n, n_trials)
     return "frontier"
 
 
@@ -182,7 +182,10 @@ class BatchEngine:
             draws = np.concatenate(
                 [request_draws(m.request) for m in members], axis=0
             )
-            method = "auto" if native else _fallback_method(algorithm, n)
+            method = (
+                "auto" if native
+                else _fallback_method(algorithm, n, draws.shape[0])
+            )
             task = {
                 "algorithm": algorithm,
                 "n": n,
@@ -311,7 +314,9 @@ class BatchEngine:
                 hedged = True
                 self.report.hedges += 1
                 hedge_tasks = [
-                    dict(t, method=_fallback_method(t["algorithm"], t["n"]))
+                    dict(t, method=_fallback_method(
+                        t["algorithm"], t["n"], t["draws"].shape[0]
+                    ))
                     for t in tasks
                 ]
                 hedge = loop.run_in_executor(

@@ -19,16 +19,16 @@ derived from the bisection-tree structure instead of event replay:
   pass of the compiled DFS of :mod:`repro.core._native` per trial gives
   the makespan and max weight; on a topology, or without a compiler, a
   NumPy level-order frontier sweep does (HF jobs grouped by size).
-* **PHF** (central phase 1) -- phase 1 proceeds in generation lockstep
-  (every active piece bisects, acquires, ships in
-  ``t_bisect + t_acquire + t_send``), phase 2 is the band-peeling round
-  structure of Figure 2 evaluated on dense ``(n_trials, N)`` weight /
-  processor arrays with the DES's exact ``(-weight, proc)`` band order.
-  On the complete network the whole evaluation optionally runs in the
-  compiled C kernel of :mod:`repro.core._native`; on a topology, sends
-  are distance-dependent so the generations desynchronise, and a
-  per-trial event replay (a ~50-line reduction of the DES's phase-1
-  scheduler) reproduces the exact chronology instead.
+* **PHF** (central phase 1) -- on the complete network every send costs
+  ``t_send``, so phase 1 proceeds in generation lockstep (every active
+  piece bisects, acquires, ships in ``t_bisect + t_acquire + t_send``)
+  and phase 2 is the band-peeling round structure of Figure 2 with the
+  DES's exact ``(-weight, proc)`` band order; the compiled C kernel of
+  :mod:`repro.core._native` evaluates both phases in one pass per trial.
+  On a topology, or without a compiler, a per-trial event replay (a
+  ~50-line reduction of the DES's phase-1 scheduler) reproduces the
+  exact chronology instead -- the complete network is then just the
+  topology whose every distance is one hop.
 
 Bit-exactness contract: every float the DES computes is reproduced by
 elementwise operations in the same order with the same IEEE-754
@@ -60,6 +60,7 @@ from repro.core.bahf import bahf_threshold
 from repro.core.problem import check_alpha
 from repro.simulator.engine import SimulationError
 from repro.simulator.machine import MachineConfig
+from repro.simulator.topology import CompleteTopology
 
 __all__ = [
     "FastpathResult",
@@ -429,7 +430,7 @@ _PHASE1_EXHAUSTED = (
 )
 
 
-def _phf_topology(
+def _phf_replay(
     n: int,
     draws: np.ndarray,
     config: MachineConfig,
@@ -438,10 +439,10 @@ def _phf_topology(
     keep: str,
     w0: float,
 ) -> FastpathResult:
-    """PHF on a topology: per-trial event replay over the prescription.
+    """PHF by per-trial event replay (topologies; no-compiler fallback).
 
     Distance-dependent sends desynchronise the phase-1 generations, so
-    the lockstep sweep no longer times the run correctly -- but the
+    the complete network's lockstep no longer times the run -- but the
     *instance* stays lockstep: :func:`repro.problems.prescribed.phf_draw_tree`
     assigns draws to bisection-tree nodes in the machine-independent
     generation order, and the DES merely walks those cached children in
@@ -457,10 +458,12 @@ def _phf_topology(
        ``t_send + t_hop·(hops-1)``.  Phase 2 is the scalar band-peeling
        loop on the replay's processor numbering.
 
-    All float chains follow the DES's association exactly (see the
-    module bit-exactness contract).
+    Without a topology the replay runs on :class:`CompleteTopology`
+    (one hop per send, so every send costs exactly ``t_send``), which is
+    the model the C kernel evaluates.  All float chains follow the DES's
+    association exactly (see the module bit-exactness contract).
     """
-    topo = config.topology(n)
+    topo = config.topology(n) if config.topology else CompleteTopology(n)
     threshold = phf_threshold(w0, alpha, n)
     c = config.collective_cost(n)
     t_b, t_a, t_s = config.t_bisect, config.t_acquire, config.t_send
@@ -668,11 +671,13 @@ def fastpath_phf(
     initial_weight: float = 1.0,
     n_threads: Optional[int] = None,
 ) -> FastpathResult:
-    """PHF with the idealised central phase 1 on the complete network.
+    """PHF with the idealised central phase 1 (Figure 2).
 
-    ``n_threads`` shards the compiled metrics kernel's trials across
-    in-kernel threads (bit-identical for every count); the NumPy and
-    topology paths ignore it.
+    On the complete network the compiled metrics kernel evaluates every
+    trial; on a topology, or when no compiler is available, the per-trial
+    event replay :func:`_phf_replay` does, with bit-identical results.
+    ``n_threads`` shards the compiled kernel's trials across in-kernel
+    threads (bit-identical for every count); the replay ignores it.
     """
     config = config or MachineConfig()
     _require_supported("phf", config)
@@ -685,211 +690,39 @@ def fastpath_phf(
     draws = _as_draw_matrix(alpha_draws, max(0, n - 1))
     n_trials = draws.shape[0]
     w0 = float(initial_weight)
-    if config.topology is not None:
-        return _phf_topology(n, draws, config, alpha=alpha, keep=keep, w0=w0)
     threshold = phf_threshold(w0, alpha, n)
-    c = config.collective_cost(n)
-    t_b, t_a, t_s = config.t_bisect, config.t_acquire, config.t_send
-
-    native = _native.phf_metrics_native(
+    native = config.topology is None and _native.phf_metrics_native(
         draws,
         n,
         w0=w0,
         threshold=threshold,
         alpha=alpha,
         keep_heavy=keep == "heavy",
-        t_bisect=t_b,
-        t_acquire=t_a,
-        t_send=t_s,
-        collective=c,
+        t_bisect=config.t_bisect,
+        t_acquire=config.t_acquire,
+        t_send=config.t_send,
+        collective=config.collective_cost(n),
         n_threads=n_threads,
     )
-    if native is not None:
-        makespan, coll_time, coll_n, ctrl, maxw, status = native
-        if (status == 1).any():
-            raise SimulationError(_PHASE1_EXHAUSTED)
-        if (status != 0).any():  # pragma: no cover - internal invariant
-            raise SimulationError("phase 2 failed to converge")
-        return FastpathResult(
-            algorithm="phf",
-            n_processors=n,
-            parallel_time=makespan,
-            n_messages=_const_int(n_trials, n - 1),
-            n_control_messages=ctrl,
-            n_collectives=coll_n,
-            collective_time=coll_time,
-            n_bisections=_const_int(n_trials, n - 1),
-            total_hops=_const_int(n_trials, n - 1),
-            utilization=_utilization(n, (n - 1) * t_b, makespan),
-            ratio=maxw / (w0 / n),
-        )
-
-    # ---- phase 1: generation lockstep, frontier kept trial-major in
-    # event order ([ship, keep] per parent) so ranks give draw indices.
-    acq = np.zeros(n_trials, dtype=np.int64)  # draws consumed (= acquisitions)
-    p1_end = np.zeros(n_trials)
-    pool_t, pool_w, pool_p = [], [], []
-
-    trial = np.arange(n_trials, dtype=np.intp)
-    w = np.full(n_trials, w0)
-    proc = np.ones(n_trials, dtype=np.int64)
-    t_gen = 0.0
-    while trial.size:
-        settled = w <= threshold
-        if settled.any():
-            pool_t.append(trial[settled])
-            pool_w.append(w[settled])
-            pool_p.append(proc[settled])
-            active = ~settled
-            trial, w, proc = trial[active], w[active], proc[active]
-        if not trial.size:
-            break
-        uniq, first_i, cnt = np.unique(trial, return_index=True, return_counts=True)
-        rank = np.arange(trial.size) - np.repeat(first_i, cnt)
-        draw_idx = acq[trial] + rank
-        dst = draw_idx + 2  # k-th acquisition (0-based) -> processor k+2
-        if (dst > n).any():
-            raise SimulationError(_PHASE1_EXHAUSTED)
-        a = draws[trial, draw_idx]
-        w2 = a * w
-        w1 = w - w2
-        flip = w1 < w2
-        if flip.any():
-            w1, w2 = np.where(flip, w2, w1), np.where(flip, w1, w2)
-        keep_w, ship_w = (w1, w2) if keep == "heavy" else (w2, w1)
-        t_gen = ((t_gen + t_b) + t_a) + t_s
-        p1_end[uniq] = t_gen
-        acq[uniq] += cnt
-        m = trial.size
-        new_trial = np.repeat(trial, 2)
-        new_w = np.empty(2 * m)
-        new_w[0::2] = ship_w
-        new_w[1::2] = keep_w
-        new_proc = np.empty(2 * m, dtype=np.int64)
-        new_proc[0::2] = dst
-        new_proc[1::2] = proc
-        trial, w, proc = new_trial, new_w, new_proc
-
-    # ---- (b)/(c): barrier + count/number free processors ----
-    coll_n = _const_int(n_trials, 2)
-    coll_time = np.zeros(n_trials)
-    coll_time = coll_time + c
-    coll_time = coll_time + c
-    t_cur = p1_end + c
-    t_cur = t_cur + c
-
-    # ---- dense phase-2 state: (n_trials, N) weight/proc arrays ----
-    if not pool_t:  # zero-trial batch
-        return FastpathResult(
-            algorithm="phf",
-            n_processors=n,
-            parallel_time=t_cur,
-            n_messages=_const_int(n_trials, n - 1),
-            n_control_messages=np.zeros(n_trials, dtype=np.int64),
-            n_collectives=coll_n,
-            collective_time=coll_time,
-            n_bisections=_const_int(n_trials, n - 1),
-            total_hops=_const_int(n_trials, n - 1),
-            utilization=np.zeros(n_trials),
-            ratio=np.zeros(n_trials),
-        )
-    ft = np.concatenate(pool_t)
-    fw = np.concatenate(pool_w)
-    fp = np.concatenate(pool_p)
-    order = np.argsort(ft, kind="stable")
-    ft, fw, fp = ft[order], fw[order], fp[order]
-    counts = np.bincount(ft, minlength=n_trials).astype(np.int64)
-    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    col = np.arange(ft.size) - np.repeat(first, counts)
-    weights = np.full((n_trials, n), -np.inf)
-    procs = np.zeros((n_trials, n), dtype=np.int64)
-    weights[ft, col] = fw
-    procs[ft, col] = fp
-    count = counts.copy()
-
-    occupied = np.zeros((n_trials, n + 1), dtype=bool)
-    occupied[ft, fp] = True
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    free_sorted = np.where(~occupied[:, 1:], ids[None, :], n + 1)
-    free_sorted.sort(axis=1)
-    cursor = np.zeros(n_trials, dtype=np.int64)
-    f = n - counts
-    ctrl = np.zeros(n_trials, dtype=np.int64)
-
-    # ---- phase 2: band-peeling rounds (steps (c)-(h) of Figure 2) ----
-    guard = 0
-    while True:
-        at = np.flatnonzero(f > 0)
-        if at.size == 0:
-            break
-        guard += 1
-        if guard > n + 1:  # pragma: no cover - internal invariant
-            raise SimulationError("phase 2 failed to converge")
-        t_at = t_cur[at]
-        t_at = t_at + c  # (d) m := max weight
-        t_at = t_at + c  # (e) h := band count + numbering
-        coll_time[at] = coll_time[at] + c
-        coll_time[at] = coll_time[at] + c
-        coll_n[at] += 2
-        w_at = weights[at]
-        m_max = w_at.max(axis=1)
-        in_band = w_at >= (m_max * (1.0 - alpha))[:, None]
-        h = in_band.sum(axis=1).astype(np.int64)
-        f_at = f[at]
-        need_sel = h > f_at
-        if need_sel.any():
-            t_at[need_sel] = t_at[need_sel] + c  # selection collective
-            sel_ids = at[need_sel]
-            coll_time[sel_ids] = coll_time[sel_ids] + c
-            coll_n[sel_ids] += 1
-        b = np.minimum(h, f_at)
-        order2 = np.lexsort((procs[at], -w_at), axis=-1)
-        k_max = int(b.max())
-        valid = np.arange(k_max)[None, :] < b[:, None]
-        r_idx, k_idx = np.nonzero(valid)  # row-major: band order per trial
-        cols = order2[r_idx, k_idx]
-        g_trial = at[r_idx]
-        draw_idx = acq[g_trial] + k_idx
-        a = draws[g_trial, draw_idx]
-        pw = weights[g_trial, cols]
-        w2 = a * pw
-        w1 = pw - w2
-        flip = w1 < w2
-        if flip.any():
-            w1, w2 = np.where(flip, w2, w1), np.where(flip, w1, w2)
-        keep_w, ship_w = (w1, w2) if keep == "heavy" else (w2, w1)
-        dst = free_sorted[g_trial, cursor[g_trial] + k_idx]
-        newcol = count[g_trial] + k_idx
-        weights[g_trial, cols] = keep_w
-        weights[g_trial, newcol] = ship_w
-        procs[g_trial, newcol] = dst
-        acq[at] += b
-        cursor[at] += b
-        count[at] += b
-        ctrl[at] += b
-        finish = ((t_at + t_b) + t_a) + t_s
-        f[at] = f_at - b
-        still = (f_at - b) > 0
-        if still.any():
-            finish[still] = finish[still] + c  # (h) barrier
-            still_ids = at[still]
-            coll_time[still_ids] = coll_time[still_ids] + c
-            coll_n[still_ids] += 1
-        t_cur[at] = finish
-
-    work_total = (n - 1) * t_b
+    if not native:
+        return _phf_replay(n, draws, config, alpha=alpha, keep=keep, w0=w0)
+    makespan, coll_time, coll_n, ctrl, maxw, status = native
+    if (status == 1).any():
+        raise SimulationError(_PHASE1_EXHAUSTED)
+    if (status != 0).any():  # pragma: no cover - internal invariant
+        raise SimulationError("phase 2 failed to converge")
     return FastpathResult(
         algorithm="phf",
         n_processors=n,
-        parallel_time=t_cur,
+        parallel_time=makespan,
         n_messages=_const_int(n_trials, n - 1),
         n_control_messages=ctrl,
         n_collectives=coll_n,
         collective_time=coll_time,
         n_bisections=_const_int(n_trials, n - 1),
         total_hops=_const_int(n_trials, n - 1),
-        utilization=_utilization(n, work_total, t_cur),
-        ratio=weights.max(axis=1) / (w0 / n),
+        utilization=_utilization(n, (n - 1) * config.t_bisect, makespan),
+        ratio=maxw / (w0 / n),
     )
 
 

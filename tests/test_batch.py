@@ -10,6 +10,7 @@ but provably not its multiset -- so rows are compared sorted.
 import numpy as np
 import pytest
 
+from repro.core import _native
 from repro.core._native import native_available
 from repro.core.ba import ba_final_weights
 from repro.core.bahf import bahf_final_weights
@@ -164,6 +165,25 @@ class TestNativeBitIdentity:
         nat = bahf_final_weights_batch(
             1.0, n, draws, alpha=0.05, lam=lam, method="native"
         )
+        ref = bahf_final_weights_batch(
+            1.0, n, draws, alpha=0.05, lam=lam, method="frontier"
+        )
+        assert np.array_equal(np.sort(nat, axis=1), np.sort(ref, axis=1))
+
+    @pytest.mark.parametrize("lam", (0.5, 1.0, 4.0))
+    def test_bahf_frontier_runs_no_native_code(self, monkeypatch, lam):
+        """The NumPy BA-HF path finishes its HF sub-jobs in NumPy too."""
+        n = 1024
+        draws = _draw_matrix(UniformAlpha(0.05, 0.5), n, n_trials=4)
+        nat = bahf_final_weights_batch(
+            1.0, n, draws, alpha=0.05, lam=lam, method="native"
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("native kernel called on the NumPy path")
+
+        for name in ("hf_batch_native", "ba_batch_native", "bahf_batch_native"):
+            monkeypatch.setattr(_native, name, refuse)
         ref = bahf_final_weights_batch(
             1.0, n, draws, alpha=0.05, lam=lam, method="frontier"
         )

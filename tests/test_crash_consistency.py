@@ -14,6 +14,7 @@ write's fsync and its rename.  The contract under test:
   the rename, the previous file content is intact.
 """
 
+import glob
 import os
 import signal
 import subprocess
@@ -81,8 +82,22 @@ def _run_victim(code, args, crash_spec):
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass  # no survivors to clean up
+        _unlink_victim_segments(proc.pid)
     _, err = proc.communicate(timeout=30)
     return returncode, err.decode()
+
+
+def _unlink_victim_segments(pid):
+    """Unlink the shared-memory draw blocks a SIGKILLed victim published.
+
+    The victim dies before its ``finally`` can release them, so nothing
+    else ever would (``repro.experiments.shm`` names them by the
+    publisher's pid).
+    """
+    pattern = os.path.join("/dev/shm", f"repro_draws_{pid}_*")
+    for path in glob.glob(pattern):
+        os.unlink(path)
+    assert not glob.glob(pattern)
 
 
 class TestJournalCrash:

@@ -34,6 +34,7 @@ from repro.simulator import (
     simulate_hf,
     simulate_phf,
 )
+from repro.simulator.engine import SimulationError
 from repro.simulator.fastpath import (
     _ba_like,
     fastpath_ba,
@@ -296,32 +297,79 @@ def test_no_compiler_fallback_bit_identical_across_n(algorithm, n, monkeypatch):
     assert_native_off_identical(algorithm, n, monkeypatch)
 
 
-def assert_native_off_identical(algorithm, n, monkeypatch):
-    import repro.core._native as native
+# Tie-heavy samplers (every draw equal, or three values) stress the
+# phase-2 band order; the zero-trial batch checks the empty shapes.
+NATIVE_OFF_CASES = [
+    (UniformAlpha(0.1, 0.5), 6),
+    (FixedAlpha(0.3), 6),
+    (DiscreteAlpha((0.2, 0.35, 0.5)), 6),
+    (UniformAlpha(0.1, 0.5), 0),
+]
 
-    sampler = UniformAlpha(0.1, 0.5)
-    draws = draw_matrix(sampler, algorithm, n, n_trials=6, seed=777)
-    with_native = fastpath_counters(algorithm, n, draws, alpha=sampler.alpha)
+RESULT_FIELDS = (
+    "parallel_time",
+    "n_messages",
+    "n_control_messages",
+    "n_collectives",
+    "collective_time",
+    "n_bisections",
+    "total_hops",
+    "utilization",
+    "ratio",
+)
+
+
+def _outcome(algorithm, n, draws, alpha):
+    """The fastpath result, or the (class, message) of what it raised."""
+    try:
+        return fastpath_counters(algorithm, n, draws, alpha=alpha)
+    except Exception as exc:  # compared across engines below
+        return type(exc), str(exc)
+
+
+def _native_off(monkeypatch):
+    import repro.core._native as native
 
     monkeypatch.setattr(native, "_lib", None)
     monkeypatch.setattr(native, "_load_attempted", True)
     assert not native.native_available()
-    without = fastpath_counters(algorithm, n, draws, alpha=sampler.alpha)
 
-    for name in (
-        "parallel_time",
-        "n_messages",
-        "n_control_messages",
-        "n_collectives",
-        "collective_time",
-        "n_bisections",
-        "total_hops",
-        "utilization",
-        "ratio",
-    ):
-        assert np.array_equal(
-            getattr(with_native, name), getattr(without, name)
-        ), f"{algorithm}: {name} differs between native and NumPy engines"
+
+def assert_native_off_identical(algorithm, n, monkeypatch):
+    cases = []
+    for seed, (sampler, n_trials) in enumerate(NATIVE_OFF_CASES, start=777):
+        if n_trials:
+            draws = draw_matrix(sampler, algorithm, n, n_trials=n_trials, seed=seed)
+        else:
+            draws = np.zeros((0, max(1, n - 1)))
+        cases.append((sampler, draws))
+    with_native = [_outcome(algorithm, n, d, s.alpha) for s, d in cases]
+
+    _native_off(monkeypatch)
+    for (sampler, draws), expected in zip(cases, with_native):
+        got = _outcome(algorithm, n, draws, sampler.alpha)
+        ctx = f"{algorithm} N={n} {sampler.describe()} T={draws.shape[0]}"
+        if isinstance(expected, tuple):
+            assert got == expected, ctx
+            continue
+        assert not isinstance(got, tuple), f"{ctx}: NumPy engine raised {got}"
+        for name in RESULT_FIELDS:
+            assert np.array_equal(
+                getattr(expected, name), getattr(got, name)
+            ), f"{ctx}: {name} differs between native and NumPy engines"
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_phase1_exhausted_same_error_native_on_and_off(alpha, monkeypatch):
+    """Draws far below the declared alpha exhaust phase 1's processors:
+    the C kernel and the replay raise the same error class and message."""
+    draws = np.full((3, 63), 0.01)
+    outcomes = [_outcome("phf", 64, draws, alpha)]
+    _native_off(monkeypatch)
+    outcomes.append(_outcome("phf", 64, draws, alpha))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is SimulationError
+    assert "phase 1 ran out of free processors" in outcomes[0][1]
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -593,10 +593,13 @@ class TestBatchEngine:
             assert payload["ratios"] == summarize_ratios(direct).as_dict()
 
     def test_fallback_method_selection(self):
-        assert _fallback_method("hf", 32) == "frontier"
-        assert _fallback_method("phf", 4096) == "heap"
-        assert _fallback_method("ba", 4096) == "frontier"
-        assert _fallback_method("bahf", 4096) == "frontier"
+        # HF follows the one measured (N, n_trials) rule in core.batch.
+        assert _fallback_method("hf", 32, 1) == "frontier"
+        assert _fallback_method("phf", 4096, 64) == "frontier"
+        assert _fallback_method("phf", 4096, 128) == "heap"
+        assert _fallback_method("hf", 2048, 4096) == "frontier"
+        assert _fallback_method("ba", 4096, 256) == "frontier"
+        assert _fallback_method("bahf", 4096, 256) == "frontier"
 
 
 # ----------------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestKernelThreadInvariance:
     """Every kernel is bit-identical for every thread count."""
 
     def test_threading_mode_reported(self):
-        assert native_threading_mode() in ("pthread", "openmp", "serial")
+        assert native_threading_mode() in ("pthread", "serial")
 
     @pytest.mark.parametrize("n_threads", THREAD_COUNTS)
     def test_hf(self, n_threads):

@@ -51,8 +51,9 @@ fi
 
 echo "== smoke: warm native load runs no compile =="
 # Pool workers are fresh processes: on a warm artifact cache their first
-# native load must reuse the cached library without a threading-flag
-# probe or any other compile-and-link step.
+# native load must reuse the cached library without any compile-and-link
+# step.  With a compiler present the library is the pthread build (the
+# serial fallback is only for toolchains that reject -pthread).
 python -c "from repro.core._native import native_available; native_available()"
 python - <<'EOF'
 import subprocess
@@ -72,12 +73,12 @@ from repro.core import _native
 
 if not _native.native_available():
     print("native kernels unavailable: nothing to check")
-elif _native.native_threading_mode() != "pthread":
-    print("pthread does not link here, so it is re-probed by design")
 else:
-    assert not _native._thread_probe_cache, _native._thread_probe_cache
     assert not links, f"warm load ran a compile step: {links}"
-    print("warm native load OK: no probe, no link")
+    mode = _native.native_threading_mode()
+    if _native._find_compiler() is not None:
+        assert mode == "pthread", f"threading mode {mode!r}, expected pthread"
+    print(f"warm native load OK: no link ({mode})")
 EOF
 
 echo "== perf gate: calibrated smoke bench vs committed baseline =="
