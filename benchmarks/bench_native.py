@@ -240,7 +240,10 @@ class TestNativeKernelThroughput:
 
         This is the acceptance number: the native rate must clear 4x the
         no-compiler fastpath, which is the per-trial event replay
-        ``fastpath._phf_replay`` on the complete network.
+        ``fastpath._phf_replay`` on the complete network (it reads each
+        trial's tree from ``repro.core.phf.phf_prescription``, the tables
+        the DES's prescribed instance is built from, and keeps only the
+        timing pass).
         """
 
         def run_fastpath(n_trials):

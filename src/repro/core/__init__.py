@@ -11,7 +11,12 @@ classes with α-bisectors -- lives here:
 * :mod:`repro.core.bounds` -- all worst-case guarantees.
 """
 
-from repro.core.problem import BisectableProblem, bisection_respects_alpha, check_alpha
+from repro.core.problem import (
+    BisectableProblem,
+    bisection_respects_alpha,
+    check_alpha,
+    normalize_algorithm,
+)
 from repro.core.tree import BisectionNode, BisectionTree
 from repro.core.partition import Partition
 from repro.core.metrics import (
@@ -100,6 +105,7 @@ __all__ = [
     "BisectableProblem",
     "bisection_respects_alpha",
     "check_alpha",
+    "normalize_algorithm",
     "BisectionNode",
     "BisectionTree",
     "Partition",

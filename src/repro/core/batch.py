@@ -33,7 +33,12 @@ one recursion level) per vectorized NumPy step:
   *analytically* during the level-order sweep (root at offset ``o`` uses
   draw ``o``; its heavier child starts at ``o + 1``, the lighter one at
   ``o + n1``).  Every leaf weight is therefore bit-identical to the
-  scalar recursion fed by the same draw stream.
+  scalar recursion fed by the same draw stream, and lands in its
+  processor's column (the heavier child keeps the parent's first
+  processor, the lighter one moves ``n1`` places on).  The same walk,
+  given an optional machine clock, also returns each trial's makespan
+  and hop count: it is the no-compiler and topology fallback of
+  :mod:`repro.simulator.fastpath`'s BA / BA-HF metrics.
 
 All kernels take the draws as an explicit ``(n_trials, >= N-1)`` matrix
 (see :meth:`repro.problems.samplers.AlphaSampler.sample_trial_matrix`),
@@ -43,7 +48,7 @@ across chunked/parallel schedules -- outside the kernel.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -325,110 +330,125 @@ def _ba_split_vec(
     return n1, n - n1
 
 
-def _split_level(
-    w: np.ndarray, n: np.ndarray, off: np.ndarray, a: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split every node of a frontier level; returns child (w, n, off) pairs.
-
-    Children are ordered heavier-first per node, matching the scalar DFS
-    which pushes the lighter child deeper into the stack.  The heavier
-    child inherits draw offset ``off + 1``, the lighter ``off + n1``
-    (its subtree starts after the heavier sibling's ``n1 - 1`` draws).
-    """
-    w2 = a * w
-    w1 = w - w2
-    flipped = w1 < w2
-    if flipped.any():
-        w1, w2 = np.where(flipped, w2, w1), np.where(flipped, w1, w2)
-    n1, n2 = _ba_split_vec(w1, w2, n)
-    return w1, w2, n1, n2, off + 1
-
-
-def _rows_to_matrix(
-    leaf_trials: List[np.ndarray],
-    leaf_weights: List[np.ndarray],
-    n_trials: int,
-    n_processors: int,
-) -> np.ndarray:
-    """Regroup flat (trial, weight) leaf streams into a (T, N) matrix.
-
-    The sort key is only the trial id, so it is cast to the narrowest
-    integer type that fits: NumPy's stable sort is a radix sort for
-    <= 16-bit integers, which turns the regrouping from the dominant cost
-    of the level-order kernels into noise.
-    """
-    trials = np.concatenate(leaf_trials)
-    weights = np.concatenate(leaf_weights)
-    if n_trials <= np.iinfo(np.int16).max:
-        trials = trials.astype(np.int16)
-    order = np.argsort(trials, kind="stable")
-    return weights[order].reshape(n_trials, n_processors)
-
-
 def _level_order(
-    w0: np.ndarray, n_processors: int, draws: np.ndarray, threshold: float
-) -> np.ndarray:
+    w0: np.ndarray,
+    n_processors: int,
+    draws: np.ndarray,
+    threshold: float,
+    clock: Optional[Tuple[float, Callable]] = None,
+):
     """NumPy BA / BA-HF: level-order splits, HF sub-jobs below ``threshold``.
 
+    Each node owns the processors ``start .. start + n - 1``: the heavy
+    child keeps ``start``, the light child moves to ``start + n1``.
     Nodes with ``n < threshold`` stop splitting: single processors are
     leaves, larger nodes become HF sub-jobs grouped by processor count
     and finished with the NumPy HF kernel :func:`numpy_hf_method` picks,
     on their draw slices (``draws[t, off : off + n - 1]``, the scalar DFS
-    consumption order).
-    """
-    n_trials = draws.shape[0]
-    leaf_trials: List[np.ndarray] = []
-    leaf_weights: List[np.ndarray] = []
-    hf_trials: List[np.ndarray] = []
-    hf_w: List[np.ndarray] = []
-    hf_n: List[np.ndarray] = []
-    hf_off: List[np.ndarray] = []
+    consumption order).  Every final weight lands in its processor's
+    column, so row ``t`` of the result is trial ``t``'s partition in
+    processor order.
 
-    trial = np.arange(n_trials, dtype=np.intp)
+    ``clock=(t_bisect, edge)`` also times the run on the machine model,
+    with ``edge(src, dst) -> (cost, hops)`` giving the per-send costs of
+    1-based processor arrays: both children of a node starting at ``s``
+    start at ``(s + t_bisect) + cost``, and an HF sub-job runs ``n - 1``
+    bisections then ``n - 1`` sends to ``start + 1 ..``, in the DES's
+    accumulation order.  The result is then ``(weights, makespan,
+    total_hops)``, the last two per trial; without a clock it is the
+    weights alone.
+    """
+    n_trials, n_draws = draws.shape
+    flat_draws = np.ascontiguousarray(draws).ravel()
+    out = np.empty(n_trials * n_processors, dtype=np.float64)
+    timed = clock is not None
+    if timed:
+        t_bisect, edge = clock
+        makespan = np.zeros(n_trials)
+        total_hops = np.zeros(n_trials, dtype=np.int64)
+    jobs: List[Tuple[np.ndarray, ...]] = []
+    job_starts: List[np.ndarray] = []
+
+    # Per node: weight, processor count, flat index of its draw and flat
+    # index of its first processor's output cell (trial-major), and --
+    # with a clock -- its start time.
     w = w0.copy()
     n = np.full(n_trials, n_processors, dtype=np.int64)
-    off = np.zeros(n_trials, dtype=np.int64)
-    while trial.size:
+    at_draw = np.arange(n_trials, dtype=np.int64) * n_draws
+    at_out = np.arange(n_trials, dtype=np.int64) * n_processors
+    s = np.zeros(n_trials)  # kept up to date only with a clock
+    while w.size:
         below = n < threshold
         if below.any():
             single = below & (n == 1)
             if single.any():
-                leaf_trials.append(trial[single])
-                leaf_weights.append(w[single])
+                out[at_out[single]] = w[single]
+                if timed:
+                    trial = at_out[single] // n_processors
+                    np.maximum.at(makespan, trial, s[single])
             multi = below & (n > 1)
             if multi.any():
-                hf_trials.append(trial[multi])
-                hf_w.append(w[multi])
-                hf_n.append(n[multi])
-                hf_off.append(off[multi])
+                jobs.append((w[multi], n[multi], at_draw[multi], at_out[multi]))
+                if timed:
+                    job_starts.append(s[multi])
             active = ~below
-            trial, w, n, off = trial[active], w[active], n[active], off[active]
-            if trial.size == 0:
+            w, n = w[active], n[active]
+            at_draw, at_out = at_draw[active], at_out[active]
+            if timed:
+                s = s[active]
+            if w.size == 0:
                 break
-        a = draws[trial, off]
-        w1, w2, n1, n2, off1 = _split_level(w, n, off, a)
-        trial = np.concatenate([trial, trial])
+        # Conserving split, heavier child first (ba_final_weights' float
+        # ops).  The heavier child keeps the first processor and the next
+        # draw; the lighter one moves n1 processors on and starts its
+        # draws after the heavier subtree's n1 - 1.
+        w2 = flat_draws[at_draw] * w
+        w1 = w - w2
+        flipped = w1 < w2
+        if flipped.any():
+            w1, w2 = np.where(flipped, w2, w1), np.where(flipped, w1, w2)
+        n1, n2 = _ba_split_vec(w1, w2, n)
+        if timed:
+            trial, col = np.divmod(at_out, n_processors)
+            cost, hops = edge(col + 1, col + 1 + n1)
+            np.add.at(total_hops, trial, hops)
+            child_s = (s + t_bisect) + cost
+            s = np.concatenate([child_s, child_s])
         w = np.concatenate([w1, w2])
         n = np.concatenate([n1, n2])
-        off = np.concatenate([off1, off + n1])
+        at_draw = np.concatenate([at_draw + 1, at_draw + n1])
+        at_out = np.concatenate([at_out, at_out + n1])
 
-    if hf_trials:
-        job_trial = np.concatenate(hf_trials)
-        job_w = np.concatenate(hf_w)
-        job_n = np.concatenate(hf_n)
-        job_off = np.concatenate(hf_off)
+    if jobs:
+        job_w, job_n, job_draw, job_out = (
+            np.concatenate(col) for col in zip(*jobs)
+        )
+        job_s = np.concatenate(job_starts) if timed else None
         for sub_n in np.unique(job_n):
+            k = int(sub_n)
             group = job_n == sub_n
-            g_trial = job_trial[group]
-            g_off = job_off[group]
-            g_draws = draws[g_trial[:, None], g_off[:, None] + np.arange(sub_n - 1)]
-            sub = hf_final_weights_batch(
-                job_w[group], int(sub_n), g_draws,
-                method=numpy_hf_method(int(sub_n), g_trial.size),
+            g_out = job_out[group]
+            steps = np.arange(k)
+            g_draws = flat_draws[job_draw[group][:, None] + steps[:-1]]
+            out[g_out[:, None] + steps] = hf_final_weights_batch(
+                job_w[group], k, g_draws, method=numpy_hf_method(k, g_out.size)
             )
-            leaf_trials.append(np.repeat(g_trial, int(sub_n)))
-            leaf_weights.append(sub.ravel())
-    return _rows_to_matrix(leaf_trials, leaf_weights, n_trials, n_processors)
+            if timed:
+                # (k-1) back-to-back bisections on the owning processor,
+                # then (k-1) serial sends to start+1 .. start+k-1.
+                g_trial, g_col = np.divmod(g_out, n_processors)
+                t = job_s[group]
+                for _ in range(k - 1):
+                    t = t + t_bisect
+                for step in range(1, k):
+                    cost, hops = edge(g_col + 1, g_col + 1 + step)
+                    t = t + cost
+                    np.add.at(total_hops, g_trial, hops)
+                np.maximum.at(makespan, g_trial, t)
+    out = out.reshape(n_trials, n_processors)
+    if timed:
+        return out, makespan, total_hops
+    return out
 
 
 def _ba_entry(
@@ -488,7 +508,7 @@ def ba_final_weights_batch(
     would consume in DFS pre-order; exactly ``n_processors - 1`` are used
     per trial, and every leaf weight is bit-identical to the scalar path.
     Returns the ``(n_trials, n_processors)`` final weights (per-row order
-    unspecified).
+    unspecified; the NumPy walk gives processor order).
 
     ``method`` is ``"frontier"``, ``"native"`` or ``"auto"``.  ``"auto"``
     prefers the compiled C recursion (see :mod:`repro.core._native`) and

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.problem import check_alpha
+from repro.core.problem import check_alpha, normalize_algorithm
 
 __all__ = [
     "r_alpha",
@@ -169,16 +169,14 @@ def phf_phase1_max_depth(alpha: float, n: int) -> int:
 
 def bound_for(algorithm: str, alpha: float, n: int, lam: float = 1.0) -> float:
     """Dispatch the ratio bound by algorithm name ("hf"/"phf"/"ba"/"bahf")."""
-    key = algorithm.lower().replace("-", "").replace("_", "")
+    key = normalize_algorithm(algorithm)
     if key == "hf":
         return hf_bound(alpha, n)
     if key == "phf":
         return phf_bound(alpha, n)
     if key == "ba":
         return ba_bound(alpha, n)
-    if key == "bahf":
-        return bahf_bound(alpha, n, lam)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return bahf_bound(alpha, n, lam)
 
 
 def _check_n(n: int) -> None:

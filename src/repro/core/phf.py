@@ -28,18 +28,43 @@ bisections in the same round structure and reports round/collective counts,
 but does not model point-to-point message timing -- that is the job of
 :mod:`repro.simulator.des`, which runs PHF on the discrete-event
 machine.  Both produce the identical partition (tested).
+
+:func:`phf_prescription` is the draw convention of PHF with the central
+phase 1 on one row of α̂ draws: the flat bisection tree that both the
+DES oracle (through :func:`repro.problems.prescribed.phf_draw_tree`)
+and the fastpath's event replay evaluate.  An invalid α that exhausts
+phase 1 raises :class:`SimulationError` with one message everywhere.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.bounds import r_alpha
 from repro.core.partition import Partition
 from repro.core.problem import BisectableProblem, check_alpha
 from repro.core.tree import BisectionNode, BisectionTree
 
-__all__ = ["run_phf", "phf_threshold"]
+__all__ = [
+    "run_phf",
+    "phf_threshold",
+    "phf_prescription",
+    "SimulationError",
+    "PHASE1_EXHAUSTED",
+]
+
+
+class SimulationError(RuntimeError):
+    """Raised when a simulated execution violates model invariants."""
+
+
+#: The one error message for an exhausted phase 1, on every engine.
+PHASE1_EXHAUSTED = (
+    "phase 1 ran out of free processors: the declared alpha is "
+    "not a valid guarantee for this problem class"
+)
 
 
 def phf_threshold(total_weight: float, alpha: float, n_processors: int) -> float:
@@ -49,6 +74,97 @@ def phf_threshold(total_weight: float, alpha: float, n_processors: int) -> float
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
     return total_weight * r_alpha(alpha) / n_processors
+
+
+def phf_prescription(
+    n_processors: int,
+    row,
+    *,
+    alpha: float,
+    keep: str = "heavy",
+    initial_weight: float = 1.0,
+) -> Tuple[List[float], List[Optional[Tuple[int, int]]]]:
+    """Central PHF's bisection tree on one draw row, as flat tables.
+
+    Node ``0`` is the root; ``weight[i]`` is node ``i``'s weight and
+    ``children[i]`` its ``(heavy, light)`` child ids, or ``None`` for a
+    leaf; ``keep`` names the child a bisecting processor keeps
+    (``"heavy"`` or ``"light"``).  The draw order is the chronology of the idealised central
+    phase 1 (the paper's timing-analysis assumption):
+
+    * phase 1 bisects over-threshold pieces generation by generation in
+      breadth-first event order (each parent's shipped child is
+      scheduled before its kept child), acquiring processors ``2, 3,
+      ...`` in that same order;
+    * phase 2 bisects, per round, the band of pieces within ``1 - α`` of
+      the maximum, ordered by ``(-weight, processor)``, the destinations
+      being the free processors in ascending order.
+
+    Splits conserve weight (``w2 = a·w; w1 = w - w2``, heavier first,
+    as in :func:`repro.core.ba.ba_final_weights`) and exactly
+    ``n_processors - 1`` draws are consumed.  Phase 1 proceeds in
+    generation lockstep for any non-negative machine costs, so the tree
+    is the same on every machine and topology.  Raises
+    :class:`SimulationError` if phase 1 runs out of processors (the
+    draws violate the declared α).
+    """
+    n = n_processors
+    w0 = float(initial_weight)
+    threshold = phf_threshold(w0, alpha, n)
+    keep_heavy = keep == "heavy"
+    draws = np.asarray(row, dtype=np.float64)[: max(0, n - 1)].tolist()
+    weight: List[float] = [w0]
+    children: List[Optional[Tuple[int, int]]] = [None]
+
+    def split(nid: int, a: float) -> Tuple[int, int]:
+        """Bisect node ``nid``; returns the (kept, shipped) child ids."""
+        wq = weight[nid]
+        w2 = a * wq
+        w1 = wq - w2
+        if w1 < w2:
+            w1, w2 = w2, w1
+        hid = len(weight)
+        weight.extend((w1, w2))
+        children.extend((None, None))
+        children[nid] = (hid, hid + 1)
+        return (hid, hid + 1) if keep_heavy else (hid + 1, hid)
+
+    idx = 0  # next draw (== acquisitions so far)
+    pieces = {}  # processor -> node id
+    frontier = [(0, 1)]
+    while frontier:
+        nxt = []
+        for nid, proc in frontier:
+            if weight[nid] <= threshold:
+                pieces[proc] = nid
+                continue
+            if idx + 2 > n:
+                raise SimulationError(PHASE1_EXHAUSTED)
+            kept, shipped = split(nid, draws[idx])
+            idx += 1
+            nxt.append((shipped, idx + 1))  # k-th acquisition -> P_{k+1}
+            nxt.append((kept, proc))
+        frontier = nxt
+
+    free = iter([p for p in range(1, n + 1) if p not in pieces])
+    f = n - len(pieces)
+    while f > 0:
+        band_lo = max(weight[nid] for nid in pieces.values()) * (1.0 - alpha)
+        band = sorted(
+            (p for p, nid in pieces.items() if weight[nid] >= band_lo),
+            key=lambda p: (-weight[pieces[p]], p),
+        )[:f]
+        for p in band:
+            dst = next(free)
+            kept, shipped = split(pieces[p], draws[idx])
+            idx += 1
+            pieces[p] = kept
+            pieces[dst] = shipped
+        f -= len(band)
+
+    if idx != n - 1:  # pragma: no cover - internal invariant
+        raise RuntimeError(f"phf prescription consumed {idx} draws, expected {n - 1}")
+    return weight, children
 
 
 def run_phf(

@@ -32,8 +32,12 @@ from typing import Optional, Tuple
 __all__ = [
     "BisectableProblem",
     "check_alpha",
+    "normalize_algorithm",
     "bisection_respects_alpha",
 ]
+
+#: Canonical keys of the paper's four algorithms.
+ALGORITHMS = ("hf", "phf", "ba", "bahf")
 
 
 def check_alpha(alpha: float) -> float:
@@ -44,6 +48,14 @@ def check_alpha(alpha: float) -> float:
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must be in (0, 1/2], got {alpha}")
     return float(alpha)
+
+
+def normalize_algorithm(algorithm: str) -> str:
+    """Canonical key for an algorithm name ("BA-HF" / "ba_hf" -> "bahf")."""
+    key = algorithm.lower().replace("-", "").replace("_", "")
+    if key not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return key
 
 
 class BisectableProblem(ABC):

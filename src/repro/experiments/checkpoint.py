@@ -215,24 +215,8 @@ class ChunkJournal:
         return journal
 
     def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise JournalError(f"journal {self.path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise JournalError(
-                f"journal {self.path} has an unreadable header"
-            ) from exc
-        if header.get("kind") != "header":
-            raise JournalError(f"journal {self.path} does not start with a header")
-        fmt = header.get("format")
-        if fmt not in READABLE_JOURNAL_FORMATS:
-            raise JournalError(
-                f"journal {self.path} has format {fmt!r}, "
-                f"this version reads {list(READABLE_JOURNAL_FORMATS)}"
-            )
-        self.format_version = fmt
+        header, entries, status = _scan_journal(self.path)
+        self.format_version = status.format
         want = fingerprint_digest(self.fingerprint)
         if header.get("sha256") != want:
             raise JournalMismatchError(
@@ -241,26 +225,22 @@ class ChunkJournal:
                 f"expected {want}); refusing to mix results.  Delete the "
                 "journal or drop --resume to start over."
             )
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                key, payload = _parse_chunk_line(line, fmt)
-            except _ChunkLineError as exc:
-                if exc.maybe_torn and lineno == len(lines):
-                    # a crash mid-append leaves one truncated trailing
-                    # line; that chunk is simply recomputed
+        damage = [(issue.lineno, issue.reason) for issue in status.issues]
+        if status.format >= 2:  # format 1 allows duplicates (last wins)
+            seen = set()
+            for lineno, key, _ in entries:
+                if key in seen:
+                    reason = f"duplicate chunk key {key!r} (run `journal repair`)"
+                    damage.append((lineno, reason))
                     break
-                raise JournalError(
-                    f"journal {self.path} is corrupt at line {lineno}: {exc}"
-                ) from exc
-            if key in self.completed and fmt >= 2:
-                raise JournalError(
-                    f"journal {self.path} is corrupt at line {lineno}: "
-                    f"duplicate chunk key {key!r} (run `journal repair`)"
-                )
-            # format-1 files may legally contain duplicates (last wins)
-            self.completed[key] = payload
+                seen.add(key)
+        if damage:
+            lineno, reason = min(damage)
+            raise JournalError(
+                f"journal {self.path} is corrupt at line {lineno}: {reason}"
+            )
+        # a torn trailing line was already dropped and is recomputed
+        self.completed.update((key, payload) for _, key, payload in entries)
 
     # ------------------------------------------------------------------
 
@@ -339,12 +319,15 @@ class JournalStatus:
 
 def _scan_journal(
     path: Union[str, Path]
-) -> Tuple[Dict[str, Any], List[Tuple[str, Any]], JournalStatus]:
+) -> Tuple[Dict[str, Any], List[Tuple[int, str, Any]], JournalStatus]:
     """Parse a journal without a fingerprint: (header, entries, status).
 
-    ``entries`` lists every *valid* chunk line in file order (duplicates
-    included); damage is collected into ``status.issues`` instead of
-    raising, except for a missing/unreadable header which is fatal.
+    ``entries`` lists every *valid* chunk line in file order as
+    ``(lineno, key, payload)`` (duplicates included); damage is
+    collected into ``status.issues`` instead of raising, except for a
+    missing/unreadable header which is fatal.  A line a crash
+    mid-append can leave (unparseable JSON) is tolerated as the torn
+    tail when it is the last line of the file.
     """
     p = Path(path)
     lines = p.read_text(encoding="utf-8").splitlines()
@@ -365,7 +348,7 @@ def _scan_journal(
     status = JournalStatus(
         path=p, format=fmt, sha256=str(header.get("sha256", "")), n_chunks=0, n_keys=0
     )
-    entries: List[Tuple[str, Any]] = []
+    entries: List[Tuple[int, str, Any]] = []
     seen: Dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -381,7 +364,7 @@ def _scan_journal(
         if key in seen and key not in status.duplicate_keys:
             status.duplicate_keys.append(key)
         seen[key] = seen.get(key, 0) + 1
-        entries.append((key, payload))
+        entries.append((lineno, key, payload))
     status.n_chunks = len(entries)
     status.n_keys = len(seen)
     return header, entries, status
@@ -408,7 +391,7 @@ def _rewrite_journal(
 
     header, entries, status = _scan_journal(path)
     final: Dict[str, Any] = {}
-    for key, payload in entries:
+    for _, key, payload in entries:
         if status.format >= 2 and key in final:
             continue  # v2 loader semantics: first occurrence wins
         final[key] = payload

@@ -28,6 +28,7 @@ from repro.core.batch import (
 )
 from repro.core.hf import hf_final_weights
 from repro.core.metrics import RatioSample, summarize_ratios
+from repro.core.problem import normalize_algorithm
 from repro.problems.samplers import AlphaSampler, FixedAlpha
 from repro.utils.rng import SeedSequenceFactory
 
@@ -99,14 +100,6 @@ class DrawStream:
             filled += m
         self.n_draws += k
         return out
-
-
-def normalize_algorithm(algorithm: str) -> str:
-    """Canonical key for an algorithm name ("BA-HF" -> "bahf", ...)."""
-    key = algorithm.lower().replace("-", "").replace("_", "")
-    if key not in ("hf", "phf", "ba", "bahf"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return key
 
 
 def trial_ratio(

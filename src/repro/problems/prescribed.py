@@ -38,8 +38,8 @@ import numpy as np
 
 from repro.core.ba import ba_split
 from repro.core.bahf import bahf_threshold
-from repro.core.phf import phf_threshold
-from repro.core.problem import BisectableProblem, check_alpha
+from repro.core.phf import phf_prescription
+from repro.core.problem import BisectableProblem, check_alpha, normalize_algorithm
 
 __all__ = [
     "DrawCursor",
@@ -294,24 +294,16 @@ def phf_draw_tree(
     keep: str = "heavy",
     initial_weight: float = 1.0,
 ) -> PrescribedNode:
-    """PHF instance: pre-built tree in central phase-1/phase-2 draw order.
+    """PHF instance: :func:`repro.core.phf.phf_prescription` as nodes.
 
-    Replays the draw consumption chronology of ``simulate_phf`` with the
-    idealised central phase 1 (the paper's timing-analysis assumption):
-
-    * phase 1 bisects over-threshold pieces generation by generation in
-      breadth-first event order (each parent's shipped child is scheduled
-      before its kept child), acquiring processors ``2, 3, ...`` in that
-      same order;
-    * phase 2 bisects, per round, the band of pieces within ``1 - α`` of
-      the maximum, ordered by ``(-weight, processor)``, the destinations
-      being the free processors in ascending order.
-
-    Exactly ``n_processors - 1`` draws are consumed.  The chronology is
-    machine-cost independent (phase 1 proceeds in generation lockstep for
-    any non-negative costs), so the same tree is valid for every
-    ``MachineConfig`` -- including topologies, where only the *timing*
-    changes, never the draw-to-node assignment.
+    The prescription fixes the draw of every bisection-tree node in the
+    chronology of the idealised central phase 1 (breadth-first phase-1
+    generations, then phase-2 bands in ``(-weight, processor)`` order).
+    That order is machine-cost independent, so the same tree is valid
+    for every ``MachineConfig`` -- including topologies, where only the
+    *timing* changes, never the draw-to-node assignment.  Raises
+    :class:`~repro.core.phf.SimulationError` when the row exhausts
+    phase 1's processors.
     """
     alpha = check_alpha(alpha)
     if keep not in ("heavy", "light"):
@@ -322,68 +314,14 @@ def phf_draw_tree(
     if row.shape[0] < n_processors - 1:
         raise ValueError(f"need {n_processors - 1} draws, got {row.shape[0]}")
 
-    n = n_processors
-    w0 = float(initial_weight)
-    threshold = phf_threshold(w0, alpha, n)
-    root = PrescribedNode(w0, alpha=alpha)
-    idx = 0  # next draw (== number of acquisitions so far in phase 1)
-
-    # ---- phase 1: generation lockstep, [ship, keep] per parent ----
-    pieces: dict = {}
-    frontier: List[Tuple[PrescribedNode, int]] = [(root, 1)]
-    while frontier:
-        nxt: List[Tuple[PrescribedNode, int]] = []
-        for node, proc in frontier:
-            if node.weight <= threshold:
-                pieces[proc] = node
-                continue
-            if idx + 2 > n:
-                raise ValueError(
-                    "phase 1 ran out of free processors: the declared alpha "
-                    "is not a valid guarantee for this draw row"
-                )
-            w1, w2 = _conserving_split(node.weight, float(row[idx]))
-            idx += 1
-            c1 = PrescribedNode(w1, alpha=alpha)
-            c2 = PrescribedNode(w2, alpha=alpha)
-            node.set_children(c1, c2)
-            keep_node, ship_node = (c1, c2) if keep == "heavy" else (c2, c1)
-            dst = idx + 1  # k-th acquisition (1-based) -> processor k + 1
-            nxt.append((ship_node, dst))
-            nxt.append((keep_node, proc))
-        frontier = nxt
-
-    # ---- phase 2: band peeling, (-weight, proc) order per round ----
-    free = [p for p in range(1, n + 1) if p not in pieces]
-    cursor = 0
-    f = len(free)
-    while f > 0:
-        m = max(node.weight for node in pieces.values())
-        band = sorted(
-            (proc for proc, node in pieces.items() if node.weight >= m * (1.0 - alpha)),
-            key=lambda proc: (-pieces[proc].weight, proc),
-        )
-        h = len(band)
-        if h > f:
-            band = band[:f]
-        for proc, dst in zip(band, free[cursor : cursor + len(band)]):
-            node = pieces[proc]
-            w1, w2 = _conserving_split(node.weight, float(row[idx]))
-            idx += 1
-            c1 = PrescribedNode(w1, alpha=alpha)
-            c2 = PrescribedNode(w2, alpha=alpha)
-            node.set_children(c1, c2)
-            keep_node, ship_node = (c1, c2) if keep == "heavy" else (c2, c1)
-            pieces[proc] = keep_node
-            pieces[dst] = ship_node
-        cursor += len(band)
-        f -= min(h, f)
-
-    if idx != n - 1:
-        raise RuntimeError(
-            f"phf prescription consumed {idx} draws, expected {n - 1}"
-        )  # pragma: no cover - internal invariant
-    return root
+    weight, children = phf_prescription(
+        n_processors, row, alpha=alpha, keep=keep, initial_weight=initial_weight
+    )
+    nodes = [PrescribedNode(w, alpha=alpha) for w in weight]
+    for node, pair in zip(nodes, children):
+        if pair is not None:
+            node.set_children(nodes[pair[0]], nodes[pair[1]])
+    return nodes[0]
 
 
 def prescribed_problem(
@@ -398,11 +336,12 @@ def prescribed_problem(
 ) -> BisectableProblem:
     """The draw-prescribed instance for one ``(algorithm, N, trial)`` cell.
 
-    ``algorithm`` is a canonical key (``hf``/``phf``/``ba``/``bahf``).
+    ``algorithm`` is any spelling :func:`~repro.core.problem.normalize_algorithm`
+    accepts (``hf``/``phf``/``ba``/``bahf``, ``"BA-HF"``, ...).
     ``alpha`` is required for ``phf`` and ``bahf`` (it shapes the
     prescription); for ``hf``/``ba`` it is only declared on the instance.
     """
-    key = algorithm.lower().replace("-", "").replace("_", "")
+    key = normalize_algorithm(algorithm)
     if key == "hf":
         return hf_draw_problem(
             n_processors, row, initial_weight=initial_weight, alpha=alpha
@@ -417,10 +356,8 @@ def prescribed_problem(
         return bahf_draw_tree(
             n_processors, row, alpha=alpha, lam=lam, initial_weight=initial_weight
         )
-    if key == "phf":
-        if alpha is None:
-            raise ValueError("phf prescription needs alpha")
-        return phf_draw_tree(
-            n_processors, row, alpha=alpha, keep=keep, initial_weight=initial_weight
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if alpha is None:
+        raise ValueError("phf prescription needs alpha")
+    return phf_draw_tree(
+        n_processors, row, alpha=alpha, keep=keep, initial_weight=initial_weight
+    )

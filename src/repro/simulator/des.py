@@ -85,8 +85,8 @@ from repro.core.ba import ba_split
 from repro.core.bahf import bahf_threshold
 from repro.core.hf import run_hf
 from repro.core.partition import Partition
-from repro.core.phf import phf_threshold
-from repro.core.problem import BisectableProblem, check_alpha
+from repro.core.phf import PHASE1_EXHAUSTED, phf_threshold
+from repro.core.problem import BisectableProblem, check_alpha, normalize_algorithm
 from repro.simulator.engine import SimulationError, Simulator
 from repro.simulator.freeproc import (
     CentralManager,
@@ -107,7 +107,6 @@ __all__ = [
     "simulate_phf",
 ]
 
-_ALGORITHMS = ("hf", "phf", "ba", "bahf")
 _PHASE1 = ("central", "ba_prime", "steal")
 _KEEP = ("heavy", "light")
 
@@ -528,10 +527,7 @@ def _simulate_phf(
                     end_acquire, dst = acquire(proc, clock)
                 except RuntimeError as exc:
                     if not run.faulty:  # invalid alpha voids Theorem 2
-                        raise SimulationError(
-                            "phase 1 ran out of free processors: the declared "
-                            "alpha is not a valid guarantee for this problem class"
-                        ) from exc
+                        raise SimulationError(PHASE1_EXHAUSTED) from exc
                     break  # faults consumed the spare capacity: degrade
                 delivered, arrival, wasted = run.send(proc, dst, end_acquire)
                 if delivered:
@@ -708,9 +704,7 @@ def simulate(
         Fault schedule, recovery policy and recovery accounting (module
         docstring); ``plan=None`` is the fault-free run.
     """
-    key = algorithm.lower().replace("-", "").replace("_", "")
-    if key not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    key = normalize_algorithm(algorithm)
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
     if keep not in _KEEP:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
+# Defined in core so the PHF prescription (which core and problems own)
+# raises the same class without importing the simulator package.
+from repro.core.phf import SimulationError
+
 __all__ = ["Simulator", "SimulationError", "ScheduledEvent"]
-
-
-class SimulationError(RuntimeError):
-    """Raised when a simulated execution violates model invariants."""
 
 
 class ScheduledEvent:

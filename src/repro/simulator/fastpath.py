@@ -17,18 +17,21 @@ derived from the bisection-tree structure instead of event replay:
   DES serialises the keeper behind the send), and BA-HF's sub-threshold
   nodes become sequential HF-job chains.  On the complete network one
   pass of the compiled DFS of :mod:`repro.core._native` per trial gives
-  the makespan and max weight; on a topology, or without a compiler, a
-  NumPy level-order frontier sweep does (HF jobs grouped by size).
+  the makespan and max weight; on a topology, or without a compiler, the
+  batch kernels' NumPy level-order walk (:func:`repro.core.batch._level_order`)
+  does, timed by this module's per-edge send costs -- the same walk
+  that computes the batched BA / BA-HF weights.
 * **PHF** (central phase 1) -- on the complete network every send costs
   ``t_send``, so phase 1 proceeds in generation lockstep (every active
   piece bisects, acquires, ships in ``t_bisect + t_acquire + t_send``)
   and phase 2 is the band-peeling round structure of Figure 2 with the
   DES's exact ``(-weight, proc)`` band order; the compiled C kernel of
   :mod:`repro.core._native` evaluates both phases in one pass per trial.
-  On a topology, or without a compiler, a per-trial event replay (a
-  ~50-line reduction of the DES's phase-1 scheduler) reproduces the
-  exact chronology instead -- the complete network is then just the
-  topology whose every distance is one hop.
+  On a topology, or without a compiler, a per-trial event replay reads
+  the bisection tree :func:`repro.core.phf.phf_prescription` builds (the
+  tables the DES's prescribed instance is made of) and reproduces the
+  DES's phase-1 chronology for the timing -- the complete network is
+  then just the topology whose every distance is one hop.
 
 Bit-exactness contract: every float the DES computes is reproduced by
 elementwise operations in the same order with the same IEEE-754
@@ -49,16 +52,21 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from repro.core import _native
-from repro.core.batch import _as_draw_matrix, _split_level, hf_final_weights_batch
-from repro.core.phf import phf_threshold
+from repro.core.batch import _as_draw_matrix, _level_order, hf_final_weights_batch
 from repro.core.bahf import bahf_threshold
-from repro.core.problem import check_alpha
-from repro.simulator.engine import SimulationError
+from repro.core.phf import (
+    PHASE1_EXHAUSTED,
+    SimulationError,
+    phf_prescription,
+    phf_threshold,
+)
+from repro.core.problem import check_alpha, normalize_algorithm
 from repro.simulator.machine import MachineConfig
 from repro.simulator.topology import CompleteTopology
 
@@ -116,9 +124,7 @@ def fastpath_supported(
     PHF with a non-central phase-1 strategy (the on-line acquisition
     chronology is then randomness-dependent).
     """
-    key = algorithm.lower().replace("-", "").replace("_", "")
-    if key not in ("hf", "phf", "ba", "bahf"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    key = normalize_algorithm(algorithm)
     config = config or MachineConfig()
     if config.record_events:
         return False
@@ -236,106 +242,8 @@ def fastpath_hf(
 
 
 # ----------------------------------------------------------------------
-# BA and BA-HF (level-order frontier sweep)
+# BA and BA-HF
 # ----------------------------------------------------------------------
-
-
-def _ba_like(
-    n: int,
-    draws: np.ndarray,
-    config: MachineConfig,
-    *,
-    threshold: Optional[float],
-    initial_weight: float,
-    n_threads: Optional[int] = None,
-):
-    """Shared BA / BA-HF NumPy sweep (topologies; no-compiler fallback).
-
-    ``threshold=None``: plain BA (nodes stop at size 1).  Otherwise:
-    nodes with ``size < threshold`` become sequential HF jobs.  Returns
-    per-trial ``(makespan, max_weight, total_hops)``.
-    """
-    n_trials = draws.shape[0]
-    topo = config.topology(n) if config.topology else None
-    w0 = float(initial_weight)
-
-    makespan = np.zeros(n_trials)
-    maxw = np.zeros(n_trials)
-    hops_acc = np.zeros(n_trials, dtype=np.int64)
-
-    trial = np.arange(n_trials, dtype=np.intp)
-    w = np.full(n_trials, w0)
-    nn = np.full(n_trials, n, dtype=np.int64)
-    start = np.ones(n_trials, dtype=np.int64)
-    s = np.zeros(n_trials)
-    off = np.zeros(n_trials, dtype=np.int64)
-
-    job_t, job_w, job_n, job_start, job_s, job_off = [], [], [], [], [], []
-
-    while trial.size:
-        done = (nn == 1) if threshold is None else (nn < threshold)
-        if done.any():
-            job_t.append(trial[done])
-            job_w.append(w[done])
-            job_n.append(nn[done])
-            job_start.append(start[done])
-            job_s.append(s[done])
-            job_off.append(off[done])
-            act = ~done
-            trial, w, nn, start, s, off = (
-                trial[act], w[act], nn[act], start[act], s[act], off[act]
-            )
-        if not trial.size:
-            break
-        a = draws[trial, off]
-        w1, w2, n1, n2, off1 = _split_level(w, nn, off, a)
-        dst = start + n1
-        cost, hop = _edge_costs(config, topo, start, dst)
-        np.add.at(hops_acc, trial, hop)
-        child_s = (s + config.t_bisect) + cost
-        trial = np.concatenate([trial, trial])
-        w = np.concatenate([w1, w2])
-        nn = np.concatenate([n1, n2])
-        start = np.concatenate([start, dst])
-        s = np.concatenate([child_s, child_s])
-        off = np.concatenate([off1, off + n1])
-
-    if not job_t:  # zero-trial batch
-        return makespan, maxw, hops_acc
-    jt = np.concatenate(job_t)
-    jw = np.concatenate(job_w)
-    jn = np.concatenate(job_n)
-    jstart = np.concatenate(job_start)
-    js = np.concatenate(job_s)
-    joff = np.concatenate(job_off)
-
-    for k in np.unique(jn):
-        k_int = int(k)
-        sel = jn == k
-        g_t, g_w, g_start = jt[sel], jw[sel], jstart[sel]
-        clock = js[sel]  # fancy indexing copies; the chain below is private
-        # (k-1) back-to-back bisections on the owning processor...
-        for _ in range(k_int - 1):
-            clock = clock + config.t_bisect
-        # ...then (k-1) serial sends to start+1 .. start+k-1.
-        for step in range(1, k_int):
-            cost, hop = _edge_costs(config, topo, g_start, g_start + step)
-            clock = clock + cost
-            np.add.at(hops_acc, g_t, hop)
-        np.maximum.at(makespan, g_t, clock)
-        if k_int == 1:
-            # Single-processor job: no draws consumed, final weight is the
-            # job weight (hf_final_weights_batch(w, 1, ...) == w[:, None]).
-            np.maximum.at(maxw, g_t, g_w)
-            continue
-        cols = joff[sel][:, None] + np.arange(k_int - 1)
-        g_draws = draws[jt[sel][:, None], cols]
-        weights = hf_final_weights_batch(
-            g_w, k_int, g_draws, n_threads=n_threads
-        )
-        np.maximum.at(maxw, g_t, weights.max(axis=1))
-
-    return makespan, maxw, hops_acc
 
 
 def _ba_like_result(
@@ -352,7 +260,8 @@ def _ba_like_result(
         raise ValueError(f"n_processors must be >= 1, got {n}")
     n_trials = draws.shape[0]
     w0 = float(initial_weight)
-    # The C kernel covers the complete network; topologies stay in NumPy.
+    # The C kernel covers the complete network; topologies (and runs
+    # without a compiler) take the batch module's timed level-order walk.
     native = config.topology is None and _native.ba_metrics_native(
         draws, n, w0=w0, threshold=threshold, t_bisect=config.t_bisect,
         t_send=config.t_send, n_threads=n_threads,
@@ -360,10 +269,13 @@ def _ba_like_result(
     if native:
         (makespan, maxw), hops_acc = native, _const_int(n_trials, n - 1)
     else:
-        makespan, maxw, hops_acc = _ba_like(
-            n, draws, config,
-            threshold=threshold, initial_weight=w0, n_threads=n_threads,
+        topo = config.topology(n) if config.topology else None
+        weights, makespan, hops_acc = _level_order(
+            np.full(n_trials, w0), n, draws,
+            2.0 if threshold is None else threshold,
+            clock=(config.t_bisect, partial(_edge_costs, config, topo)),
         )
+        maxw = weights.max(axis=1)
     work_total = (n - 1) * config.t_bisect
     return FastpathResult(
         algorithm=algorithm,
@@ -424,12 +336,6 @@ def fastpath_bahf(
 # PHF (central phase 1)
 # ----------------------------------------------------------------------
 
-_PHASE1_EXHAUSTED = (
-    "phase 1 ran out of free processors: the declared alpha is "
-    "not a valid guarantee for this problem class"
-)
-
-
 def _phf_replay(
     n: int,
     draws: np.ndarray,
@@ -443,20 +349,18 @@ def _phf_replay(
 
     Distance-dependent sends desynchronise the phase-1 generations, so
     the complete network's lockstep no longer times the run -- but the
-    *instance* stays lockstep: :func:`repro.problems.prescribed.phf_draw_tree`
+    *instance* stays lockstep: :func:`repro.core.phf.phf_prescription`
     assigns draws to bisection-tree nodes in the machine-independent
-    generation order, and the DES merely walks those cached children in
-    event order.  Each trial therefore runs in two passes:
-
-    1. **prescribe** -- rebuild the node weights exactly as
-       ``phf_draw_tree`` does (lockstep phase 1, then band-peeling rounds
-       with the prescription's own processor numbering for tie-breaks);
-    2. **replay** -- re-run the event chronology of the DES's central phase 1
-       for the timing: a ``(time, seq)`` heap pops pieces FIFO at equal
-       times (ship child scheduled before keep child), every bisection
-       acquires the next central id, and every send pays
-       ``t_send + t_hop·(hops-1)``.  Phase 2 is the scalar band-peeling
-       loop on the replay's processor numbering.
+    generation order, and the DES (fed the same tables through
+    :func:`repro.problems.prescribed.phf_draw_tree`) merely walks those
+    cached children in event order.  Each trial therefore reads the
+    prescription's ``weight``/``children`` tables and replays the event
+    chronology of the DES's central phase 1 for the timing: a
+    ``(time, seq)`` heap pops pieces FIFO at equal times (ship child
+    scheduled before keep child), every bisection acquires the next
+    central id, and every send pays ``t_send + t_hop·(hops-1)``.
+    Phase 2 is the scalar band-peeling loop on the replay's processor
+    numbering.
 
     Without a topology the replay runs on :class:`CompleteTopology`
     (one hop per send, so every send costs exactly ``t_send``), which is
@@ -479,74 +383,11 @@ def _phf_replay(
     res_maxw = np.empty(n_trials)
 
     for i in range(n_trials):
-        row = draws[i]
-        # ---- pass 1: the prescription (node ids -> weights/children),
-        # mirroring phf_draw_tree's lockstep chronology exactly.
-        weight = {0: w0}
-        children = {}  # node id -> (heavy child id, light child id)
-        next_id = 1
-        idx = 0  # next draw (== acquisitions so far)
-        pieces_p = {}  # prescription proc -> node id
-        frontier = [(0, 1)]
-        while frontier:
-            nxt = []
-            for nid, proc in frontier:
-                wq = weight[nid]
-                if wq <= threshold:
-                    pieces_p[proc] = nid
-                    continue
-                if idx + 2 > n:
-                    raise SimulationError(_PHASE1_EXHAUSTED)
-                a = row[idx]
-                idx += 1
-                w2 = a * wq
-                w1 = wq - w2
-                if w1 < w2:
-                    w1, w2 = w2, w1
-                hid, lid = next_id, next_id + 1
-                next_id += 2
-                weight[hid] = w1
-                weight[lid] = w2
-                children[nid] = (hid, lid)
-                keep_id, ship_id = (hid, lid) if keep_heavy else (lid, hid)
-                dst = idx + 1  # k-th acquisition (1-based) -> P_{k+1}
-                nxt.append((ship_id, dst))
-                nxt.append((keep_id, proc))
-            frontier = nxt
-        free_p = [p for p in range(1, n + 1) if p not in pieces_p]
-        cur_p = 0
-        f = len(free_p)
-        while f > 0:
-            m = max(weight[nid] for nid in pieces_p.values())
-            band_lo = m * (1.0 - alpha)
-            band = sorted(
-                (p for p, nid in pieces_p.items() if weight[nid] >= band_lo),
-                key=lambda p: (-weight[pieces_p[p]], p),
-            )
-            h = len(band)
-            if h > f:
-                band = band[:f]
-            for p, dst in zip(band, free_p[cur_p : cur_p + len(band)]):
-                nid = pieces_p[p]
-                wq = weight[nid]
-                a = row[idx]
-                idx += 1
-                w2 = a * wq
-                w1 = wq - w2
-                if w1 < w2:
-                    w1, w2 = w2, w1
-                hid, lid = next_id, next_id + 1
-                next_id += 2
-                weight[hid] = w1
-                weight[lid] = w2
-                children[nid] = (hid, lid)
-                keep_id, ship_id = (hid, lid) if keep_heavy else (lid, hid)
-                pieces_p[p] = keep_id
-                pieces_p[dst] = ship_id
-            cur_p += len(band)
-            f -= min(h, f)
+        weight, children = phf_prescription(
+            n, draws[i], alpha=alpha, keep=keep, initial_weight=w0
+        )
 
-        # ---- pass 2: event replay for the timing ---------------------
+        # ---- phase 1: event replay for the timing --------------------
         pieces = {}  # replay proc -> node id
         acq = 0
         hops = 0
@@ -559,8 +400,6 @@ def _phf_replay(
                 pieces[proc] = nid
                 continue
             dst = acq + 2  # k-th acquisition (0-based) -> processor k+2
-            if dst > n:  # pragma: no cover - prescription already checked
-                raise SimulationError(_PHASE1_EXHAUSTED)
             acq += 1
             hid, lid = children[nid]
             keep_id, ship_id = (hid, lid) if keep_heavy else (lid, hid)
@@ -608,7 +447,7 @@ def _phf_replay(
             finish = t
             for proc in band:
                 nid = pieces[proc]
-                pair = children.get(nid)
+                pair = children[nid]
                 if pair is None:
                     # Only reachable when a truncating selection round
                     # breaks a weight tie differently than the
@@ -708,7 +547,7 @@ def fastpath_phf(
         return _phf_replay(n, draws, config, alpha=alpha, keep=keep, w0=w0)
     makespan, coll_time, coll_n, ctrl, maxw, status = native
     if (status == 1).any():
-        raise SimulationError(_PHASE1_EXHAUSTED)
+        raise SimulationError(PHASE1_EXHAUSTED)
     if (status != 0).any():  # pragma: no cover - internal invariant
         raise SimulationError("phase 2 failed to converge")
     return FastpathResult(
@@ -753,7 +592,7 @@ def fastpath_counters(
     ``REPRO_NATIVE_THREADS`` / auto); metrics are bit-identical for
     every count, and pure-NumPy paths ignore it.
     """
-    key = algorithm.lower().replace("-", "").replace("_", "")
+    key = normalize_algorithm(algorithm)
     config = config or MachineConfig()
     _require_supported(key, config, phase1=phase1)
     if key == "hf":

@@ -98,6 +98,37 @@ class TestChunkJournal:
                 path, fingerprint={"kind": "test", "seed": 8}, resume=True
             )
 
+    @pytest.mark.parametrize("first_line", ["[1,2]", "7", '"header"', "null"])
+    def test_resume_non_object_header_is_a_journal_error(self, tmp_path, first_line):
+        """Valid JSON that is not an object fails like ``inspect_journal``."""
+        path = tmp_path / "run.jsonl"
+        path.write_text(first_line + "\n")
+        with pytest.raises(JournalError) as inspected:
+            inspect_journal(path)
+        with pytest.raises(JournalError) as resumed:
+            ChunkJournal.open(path, fingerprint=FP, resume=True)
+        assert str(resumed.value) == str(inspected.value)
+        assert "does not start with a header" in str(resumed.value)
+
+    @pytest.mark.parametrize("dup_first", [True, False])
+    def test_resume_reports_the_first_damaged_line(self, tmp_path, dup_first):
+        """A duplicate key and a corrupt line: the earlier one is named."""
+        path = tmp_path / "run.jsonl"
+        with ChunkJournal.open(path, fingerprint=FP) as journal:
+            for i in range(4):
+                journal.record(f"a:{i}", float(i))
+        lines = path.read_text().splitlines()
+        dup, bad = (2, 4) if dup_first else (4, 2)  # 0-based line indexes
+        lines[dup] = lines[1]  # repeats key a:0
+        lines[bad] = lines[bad].replace('"crc32":"', '"crc32":"f')
+        path.write_text("\n".join(lines) + "\n")
+        want = (
+            "line 3: duplicate chunk key 'a:0'" if dup_first
+            else "line 3: checksum mismatch"
+        )
+        with pytest.raises(JournalError, match=want):
+            ChunkJournal.open(path, fingerprint=FP, resume=True)
+
     def test_no_resume_truncates(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with ChunkJournal.open(path, fingerprint=FP) as journal:

@@ -12,11 +12,15 @@ per-processor work in a different order than the kernels' closed form
 documented utilisation caveat in the fastpath module).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core import _native
 from repro.core.bahf import bahf_threshold
+from repro.core.batch import _level_order
+from repro.core.phf import PHASE1_EXHAUSTED
 from repro.problems import prescribed_problem
 from repro.problems.samplers import BetaAlpha, DiscreteAlpha, FixedAlpha, UniformAlpha
 from repro.simulator import (
@@ -36,7 +40,7 @@ from repro.simulator import (
 )
 from repro.simulator.engine import SimulationError
 from repro.simulator.fastpath import (
-    _ba_like,
+    _edge_costs,
     fastpath_ba,
     fastpath_bahf,
     fastpath_hf,
@@ -362,14 +366,29 @@ def assert_native_off_identical(algorithm, n, monkeypatch):
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
 def test_phase1_exhausted_same_error_native_on_and_off(alpha, monkeypatch):
     """Draws far below the declared alpha exhaust phase 1's processors:
-    the C kernel and the replay raise the same error class and message."""
+    the C kernel, the replay (``REPRO_NO_NATIVE``), the study on both
+    engines and the DES prescription raise one error class and message."""
+    from repro.experiments.runtime_study import study_trial_metrics
+    from repro.problems.prescribed import phf_draw_tree
+
     draws = np.full((3, 63), 0.01)
-    outcomes = [_outcome("phf", 64, draws, alpha)]
-    _native_off(monkeypatch)
-    outcomes.append(_outcome("phf", 64, draws, alpha))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] is SimulationError
-    assert "phase 1 ran out of free processors" in outcomes[0][1]
+    outcomes = {"native": _outcome("phf", 64, draws, alpha)}
+    for engine in ("fastpath", "des"):
+        try:
+            study_trial_metrics(
+                "phf", 64, FixedAlpha(alpha), n_trials=3, seed=0,
+                engine=engine, draws=draws,
+            )
+        except Exception as exc:  # compared across engines below
+            outcomes[f"study-{engine}"] = type(exc), str(exc)
+    try:
+        phf_draw_tree(64, draws[0], alpha=alpha)
+    except Exception as exc:  # compared across engines below
+        outcomes["phf_draw_tree"] = type(exc), str(exc)
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    outcomes["no-native"] = _outcome("phf", 64, draws, alpha)
+    assert len(outcomes) == 5, outcomes
+    assert set(outcomes.values()) == {(SimulationError, PHASE1_EXHAUSTED)}, outcomes
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -412,15 +431,18 @@ NONDYADIC_CONFIGS = [
     ids=lambda s: s.describe(),
 )
 def test_native_ba_metrics_match_numpy_sweep(sampler, lam):
-    """Makespan and max weight bit-identical to ``_ba_like`` (whose hop
-    count on the complete network is exactly N-1) for every thread count."""
+    """Makespan and max weight bit-identical to the timed level-order walk
+    ``batch._level_order`` (whose hop count on the complete network is
+    exactly N-1) for every thread count."""
     threshold = None if lam is None else bahf_threshold(sampler.alpha, lam)
     for n in [1, 2, 3, 5, 17, 257, 1024, 3000]:
         draws = draw_matrix(sampler, "ba", n, n_trials=3, seed=70_000 + n)
         for config in NONDYADIC_CONFIGS:
-            makespan, maxw, hops = _ba_like(
-                n, draws, config, threshold=threshold, initial_weight=1.0
+            weights, makespan, hops = _level_order(
+                np.ones(3), n, draws, 2.0 if threshold is None else threshold,
+                clock=(config.t_bisect, partial(_edge_costs, config, None)),
             )
+            maxw = weights.max(axis=1)
             assert (hops == n - 1).all()
             for n_threads in (1, 2, 7, 64):
                 got = _native.ba_metrics_native(

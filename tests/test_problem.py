@@ -103,3 +103,55 @@ class TestBisectionRespectsAlpha:
                 return CountingProblem(0.4), CountingProblem(0.4)
 
         assert not bisection_respects_alpha(Leaky(1.0), 0.1)
+
+
+# ----------------------------------------------------------------------
+# One algorithm-name normaliser behind every entry point
+# ----------------------------------------------------------------------
+
+
+def _name_sites():
+    import numpy as np
+
+    from repro.core.bounds import bound_for
+    from repro.core.lower_bounds import _run
+    from repro.experiments.stochastic import normalize_algorithm
+    from repro.problems import prescribed_problem
+    from repro.simulator import fastpath_counters, fastpath_supported, simulate
+
+    draws = np.full((1, 7), 0.3)
+    return {
+        "normalize_algorithm": normalize_algorithm,
+        "bound_for": lambda name: bound_for(name, 0.3, 8),
+        "lower_bounds._run": lambda name: _run(name, 0.3, 8, draws[0], 1.0),
+        "prescribed_problem": lambda name: prescribed_problem(
+            name, 8, draws[0], alpha=0.3
+        ),
+        "simulate": lambda name: simulate(
+            name, SyntheticProblem(1.0, FixedAlpha(0.3), seed=1), 8, alpha=0.3
+        ),
+        "fastpath_supported": fastpath_supported,
+        "fastpath_counters": lambda name: fastpath_counters(
+            name, 8, draws, alpha=0.3
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        "normalize_algorithm",
+        "bound_for",
+        "lower_bounds._run",
+        "prescribed_problem",
+        "simulate",
+        "fastpath_supported",
+        "fastpath_counters",
+    ],
+)
+def test_every_site_normalises_algorithm_names_alike(site):
+    call = _name_sites()[site]
+    call("BA-HF")
+    call("ba_hf")
+    with pytest.raises(ValueError, match=r"^unknown algorithm 'xyz'$"):
+        call("xyz")

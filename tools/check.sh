@@ -26,7 +26,7 @@ echo "== static analysis: repro.lint (incl. whole-program + FFI) =="
 python -m repro.lint src tests benchmarks examples --whole-program \
     --format "${LINT_FORMAT:-json}"
 
-echo "== smoke: runtime study, both engines =="
+echo "== smoke: runtime and topology studies, both engines =="
 # The fastpath kernels must render the same study as the DES oracle,
 # both with the native kernels and with the NumPy fallback.
 des_out=$(python -m repro.experiments.cli runtime --max-n 32 --engine des)
@@ -38,6 +38,15 @@ if [ "$des_out" != "$fast_out" ]; then
 fi
 if [ "$des_out" != "$numpy_out" ]; then
     echo "engine mismatch: des and the NumPy fastpath (REPRO_NO_NATIVE=1) render different studies" >&2
+    exit 1
+fi
+# The topology study is the CLI run of the fastpath's topology fallbacks
+# (the timed BA/BA-HF level-order walk and the PHF event replay).
+des_out=$(python -m repro.experiments.cli topology --max-n 32 --engine des)
+fast_out=$(python -m repro.experiments.cli topology --max-n 32 --engine fastpath)
+numpy_out=$(REPRO_NO_NATIVE=1 python -m repro.experiments.cli topology --max-n 32 --engine fastpath)
+if [ "$des_out" != "$fast_out" ] || [ "$des_out" != "$numpy_out" ]; then
+    echo "engine mismatch: the topology study differs between des, fastpath and REPRO_NO_NATIVE=1 fastpath" >&2
     exit 1
 fi
 
