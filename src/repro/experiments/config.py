@@ -137,14 +137,14 @@ def normalize_engine(engine: str) -> str:
 
 
 #: Parallel execution backends for the chunked runners.  ``"processes"``
-#: fans chunks out over a ProcessPoolExecutor (pickled task tuples,
-#: shared-memory draw blocks); ``"threads"`` runs chunks on a thread
-#: pool in-process -- the hot loops are ctypes calls into the native
-#: kernels, which release the GIL, so threads scale without pickling or
-#: shm plumbing.  Chunk layout and merge order depend only on the
-#: config, so both backends (and serial) produce bit-identical results
-#: and share journal fingerprints (a journal written under one backend
-#: resumes under the other).
+#: fans chunks out over a ProcessPoolExecutor (pickled task tuples);
+#: ``"threads"`` runs chunks on a thread pool in-process -- the hot
+#: loops are NumPy's sampling fills and ctypes calls into the native
+#: kernels, which release the GIL, so threads scale without pickling.
+#: Under both, each chunk samples its own draws.  Chunk layout and
+#: merge order depend only on the config, so both backends (and serial)
+#: produce bit-identical results and share journal fingerprints (a
+#: journal written under one backend resumes under the other).
 BACKENDS: Tuple[str, ...] = ("processes", "threads")
 
 

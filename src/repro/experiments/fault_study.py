@@ -297,15 +297,13 @@ def run_fault_study(
         for rate in fault_rates
     ]
     parts = run_cells(
-        [(repr(cell_key), None) for cell_key, _, _, _ in cells],
-        lambda i, start, stop, _spec: (
+        [repr(cell_key) for cell_key, _, _, _ in cells],
+        lambda i, start, stop: (
             *cells[i], sampler, start, stop, seed, lam, policy
         ),
         _fault_chunk,
         n_trials=n_trials,
         chunk_size=size,
-        sampler=sampler,
-        seed=seed,
         n_jobs=n_jobs,
         fingerprint=_fault_fingerprint(
             cells,

@@ -19,14 +19,10 @@ cells and the chunk size alone, never on ``n_jobs`` or the backend, so
 results are bit-identical for any worker count and journals resume
 under either backend.
 
-Draw transport.  With ``n_jobs > 1`` the parent samples each cell's
-``(n_trials, N - 1)`` draw matrix once and hands every chunk its
-row-slice: through a shared-memory block (:mod:`repro.experiments.shm`)
-on the process backend, by reference on the thread backend.  The rows
-equal what each chunk would sample for itself, so the transport cannot
-change results; a cell that gets no block (serial runs, N = 1, lazily
-sampling cells, an exhausted ``REPRO_SHM_MAX_BYTES`` budget, a refused
-segment) simply samples per chunk.
+Draw transport.  There is none: each chunk samples its own rows
+(:func:`~repro.experiments.stochastic.draw_rows`) in the worker that
+runs it, so a cell's chunks sample each row exactly once between them
+and the parent samples and copies nothing.
 
 Sweep workers reduce their chunk to a
 :class:`~repro.core.metrics.RatioAccumulator` (a few floats) instead of
@@ -45,14 +41,13 @@ import numpy as np
 
 from repro.core.bounds import bound_for
 from repro.core.metrics import RatioAccumulator, RatioSample, summarize_ratios
-from repro.experiments import shm
 from repro.experiments.checkpoint import ChunkJournal, execute_chunks
 from repro.experiments.config import (
     DEFAULT_CHUNK_RETRIES,
     StochasticConfig,
     normalize_backend,
 )
-from repro.experiments.stochastic import draw_rows, normalize_algorithm, trial_ratios
+from repro.experiments.stochastic import trial_ratios
 from repro.problems.samplers import AlphaSampler
 
 __all__ = [
@@ -61,7 +56,6 @@ __all__ = [
     "run_sweep",
     "run_cells",
     "chunk_bounds",
-    "chunk_draws",
     "encode_matrix_chunk",
     "decode_matrix_chunk",
     "sweep_fingerprint",
@@ -151,36 +145,21 @@ def chunk_bounds(n_trials: int, chunk_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def chunk_draws(spec: Any, start: int, stop: int) -> Optional[np.ndarray]:
-    """Rows ``[start, stop)`` of a cell's draw block, or ``None``.
-
-    ``spec`` is the block :func:`run_cells` hands a chunk task: a
-    :class:`~repro.experiments.shm.DrawSpec` naming a shared-memory
-    segment (process backend; mapped zero-copy), the cell's ndarray
-    itself (threads backend; sliced by reference), or ``None``.  ``None``
-    back means the chunk samples its own rows, with identical results.
-    """
-    if isinstance(spec, np.ndarray):
-        return spec[start:stop]
-    cell = shm.attached_draws(spec) if spec is not None else None
-    return None if cell is None else cell[start:stop]
-
-
 def _run_chunk(
     args: Tuple[
-        str, int, AlphaSampler, int, int, int, float, Any, Optional[int]
+        str, int, AlphaSampler, int, int, int, float, None, Optional[int]
     ]
 ) -> Tuple[str, int, int, RatioAccumulator]:
     """Worker: one trial chunk of one (algorithm, N) cell (picklable).
 
-    ``spec`` is the cell's draw block (see :func:`chunk_draws`).
     ``n_threads`` caps the native kernels' in-kernel threading (pool
     runs pin it to 1 so worker-level and kernel-level parallelism don't
     multiply).  Returns the chunk's summary accumulator, not its ratio
     array, so the parent's memory stays O(cells x chunks) regardless of
     n_trials.
     """
-    algorithm, n, sampler, start, stop, seed, lam, spec, n_threads = args
+    # Slot 7 (the retired draw block) is always None: perfbench keys on the layout.
+    algorithm, n, sampler, start, stop, seed, lam, _, n_threads = args
     ratios = trial_ratios(
         algorithm,
         n,
@@ -189,28 +168,18 @@ def _run_chunk(
         seed=seed,
         lam=lam,
         start=start,
-        draws=chunk_draws(spec, start, stop),
         n_threads=n_threads,
     )
     return algorithm, n, start, RatioAccumulator().update(ratios)
 
 
-#: One cell of a chunked run: ``(label, draws)``.  Chunk ``[start, stop)``
-#: of the cell is journaled under the key ``f"{label}:{start}"``;
-#: ``draws`` is the ``(algorithm, N)`` whose draw matrix the chunks read,
-#: or ``None`` for a cell whose chunks sample lazily.
-Cell = Tuple[str, Optional[Tuple[str, int]]]
-
-
 def run_cells(
-    cells: Sequence[Cell],
-    task: Callable[[int, int, int, Any], Any],
+    cells: Sequence[str],
+    task: Callable[[int, int, int], Any],
     worker: Callable[[Any], Any],
     *,
     n_trials: int,
     chunk_size: int,
-    sampler: AlphaSampler,
-    seed: int,
     n_jobs: int,
     fingerprint: Dict[str, Any],
     encode: Callable[[Any], Any],
@@ -224,14 +193,12 @@ def run_cells(
 ) -> List[List[Any]]:
     """Run every trial chunk of every cell; each cell's results in chunk order.
 
-    ``task(i, start, stop, spec)`` builds the picklable task of chunk
-    ``[start, stop)`` of ``cells[i]`` for ``worker``; ``spec`` is the
-    cell's draw block, which the worker reads with :func:`chunk_draws`.
-    Blocks are published only when ``n_jobs > 1``, once per
-    ``(normalized algorithm, N)`` that still has unjournaled chunks, and
-    released when the run ends.  ``encode`` turns a chunk result into
-    its journal payload and ``decode`` turns a replayed payload back
-    into a result.  ``fingerprint`` binds the journal at
+    ``cells`` are the cells' labels: chunk ``[start, stop)`` of a cell
+    is journaled under the key ``f"{label}:{start}"``.  ``task(i, start,
+    stop)`` builds the picklable task of that chunk of ``cells[i]`` for
+    ``worker``, which samples its own draws.  ``encode`` turns a chunk
+    result into its journal payload and ``decode`` turns a replayed
+    payload back into a result.  ``fingerprint`` binds the journal at
     ``journal_path`` to the run's configuration.  The remaining keywords
     go to :func:`~repro.experiments.checkpoint.execute_chunks`
     (``chaos``, ``report``, ``strict``, ``rebuild_budget``,
@@ -243,55 +210,21 @@ def run_cells(
     up each other's trials, so they raise :class:`ValueError` before any
     chunk runs.
     """
-    labels = [label for label, _ in cells]
-    repeated = sorted(label for label, count in Counter(labels).items() if count > 1)
+    repeated = sorted(label for label, count in Counter(cells).items() if count > 1)
     if repeated:
         raise ValueError(f"duplicate cells: {', '.join(repeated)}")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     backend = normalize_backend(backend)
     chunks = chunk_bounds(n_trials, chunk_size)
-    keys = [f"{label}:{start}" for label in labels for start, _ in chunks]
+    keys = [f"{label}:{start}" for label in cells for start, _ in chunks]
+    tasks = [task(i, start, stop) for i in range(len(cells)) for start, stop in chunks]
     journal = (
         ChunkJournal.open(journal_path, fingerprint=fingerprint, resume=resume)
         if journal_path is not None
         else None
     )
-    blocks: Dict[Tuple[str, int], Tuple[Any, Any]] = {}
-    block_keys = [
-        None if draws is None else (normalize_algorithm(draws[0]), draws[1])
-        for _, draws in cells
-    ]
     try:
-        if n_jobs > 1:
-            completed = journal.completed if journal is not None else {}
-            budget = shm.max_bytes()
-            used = 0
-            for label, bkey in zip(labels, block_keys):
-                if bkey is None or bkey in blocks or bkey[1] < 2:
-                    continue
-                if all(f"{label}:{start}" in completed for start, _ in chunks):
-                    continue
-                cols = bkey[1] - 1
-                nbytes = n_trials * cols * 8
-                if used + nbytes > budget:
-                    continue
-                rows = draw_rows(
-                    *bkey, sampler, seed=seed, start=0, stop=n_trials, n_draws=cols
-                )
-                # Thread workers share this address space: no publish.
-                published = (
-                    (None, rows) if backend == "threads" else shm.publish_draws(rows)
-                )
-                del rows  # a published block holds its own copy
-                if published is not None:
-                    blocks[bkey] = published
-                    used += nbytes
-        tasks = [
-            task(i, start, stop, blocks[bkey][1] if bkey in blocks else None)
-            for i, bkey in enumerate(block_keys)
-            for start, stop in chunks
-        ]
         raw = execute_chunks(
             tasks,
             worker,
@@ -306,9 +239,6 @@ def run_cells(
             **supervise,
         )
     finally:
-        for block, _ in blocks.values():
-            if block is not None:
-                shm.release_draws(block)
         if journal is not None:
             journal.close()
     # Task order is cell-major and chunk-start ordered, so each cell's
@@ -397,11 +327,11 @@ def run_sweep(
     """Evaluate every (algorithm, N) cell of ``config``.
 
     ``backend`` selects how parallel chunks execute when
-    ``config.n_jobs > 1``: ``"processes"`` (the default process pool
-    with shared-memory draw blocks) or ``"threads"`` (a GIL-free thread
-    pool over the native kernels -- no pickling, no shm; see
-    :data:`~repro.experiments.config.BACKENDS`).  Records are
-    bit-identical across backends and worker counts.
+    ``config.n_jobs > 1``: ``"processes"`` (the default process pool)
+    or ``"threads"`` (a thread pool over the GIL-releasing native
+    kernels, no pickling; see :data:`~repro.experiments.config.BACKENDS`).
+    Either way each chunk samples its own draws in its worker.  Records
+    are bit-identical across backends and worker counts.
 
     ``journal_path`` enables crash-safe execution: each completed trial
     chunk is durably appended to a JSONL journal, and ``resume=True``
@@ -433,16 +363,14 @@ def run_sweep(
     # kernels thread internally (REPRO_NATIVE_THREADS / auto).
     threads = 1 if config.n_jobs > 1 else None
     parts = run_cells(
-        [(f"{algo}:{n}", (algo, n)) for algo, n in cells],
-        lambda i, start, stop, spec: (
+        [f"{algo}:{n}" for algo, n in cells],
+        lambda i, start, stop: (
             *cells[i], config.sampler, start, stop, config.seed, config.lam,
-            spec, threads,
+            None, threads,
         ),
         _run_chunk,
         n_trials=config.n_trials,
         chunk_size=config.effective_chunk_size,
-        sampler=config.sampler,
-        seed=config.seed,
         n_jobs=config.n_jobs,
         fingerprint=sweep_fingerprint(config),
         encode=_encode_sweep_chunk,

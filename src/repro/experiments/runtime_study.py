@@ -26,10 +26,10 @@ Trial ``t`` of cell ``(algorithm, N)`` derives its generator from
 ``(seed, algorithm, N, t)`` exactly like the ratio sweeps
 (:func:`repro.experiments.stochastic.trial_ratios`), and
 :func:`run_study_cells` runs the cells through the chunked-cell pipeline
-:func:`~repro.experiments.runner.run_cells` (chunking, journal, draw
-transport, supervised execution).  Results are bit-identical for any
-``n_jobs`` and backend, and identical between the two engines wherever
-the fastpath applies.
+:func:`~repro.experiments.runner.run_cells` (chunking, journal,
+supervised execution).  Results are bit-identical for any ``n_jobs``
+and backend, and identical between the two engines wherever the
+fastpath applies.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.experiments.config import (
     normalize_engine,
 )
 from repro.experiments.runner import (
-    chunk_draws,
     decode_matrix_chunk,
     encode_matrix_chunk,
     run_cells,
@@ -160,10 +159,10 @@ def study_trial_metrics(
     the serial values exactly, and the two engines agree bit for bit on
     every cell the fastpath supports.
 
-    ``draws`` optionally supplies the trials' draw matrix (a chunk's
-    row-slice of its cell's draw block, see
-    :func:`~repro.experiments.runner.chunk_draws`); it must equal what
-    the cell's trial factory would sample for the same range.
+    ``draws`` optionally supplies the trials' draw matrix; it must equal
+    what :func:`~repro.experiments.stochastic.draw_rows` samples for the
+    same range.  No runner passes it (chunks sample their own rows); it
+    stays as a determinism anchor for callers holding explicit rows.
     Non-central PHF phase 1 samples lazily and cannot take a
     prescription matrix.
 
@@ -232,10 +231,10 @@ def study_trial_metrics(
 def _study_chunk(args) -> Tuple[int, np.ndarray]:
     """Worker: one trial chunk of one study cell (picklable).
 
-    ``spec`` is the cell's draw block (see
-    :func:`~repro.experiments.runner.chunk_draws`).  ``n_threads`` caps
-    the native kernels' in-kernel threading (pool runs pin it to 1).
+    ``n_threads`` caps the native kernels' in-kernel threading (pool
+    runs pin it to 1).
     """
+    # Slot 11 (the retired draw block) is always None: perfbench keys on the layout.
     (
         _cell_key,
         algorithm,
@@ -248,7 +247,7 @@ def _study_chunk(args) -> Tuple[int, np.ndarray]:
         phf_phase1,
         config,
         engine,
-        spec,
+        _,
         n_threads,
     ) = args
     matrix = study_trial_metrics(
@@ -262,7 +261,6 @@ def _study_chunk(args) -> Tuple[int, np.ndarray]:
         phf_phase1=phf_phase1,
         config=config,
         engine=engine,
-        draws=chunk_draws(spec, start, stop),
         n_threads=n_threads,
     )
     return start, matrix
@@ -343,30 +341,18 @@ def run_study_cells(
     # Pool runs pin the kernels to one thread per chunk worker;
     # serial runs let them thread internally (REPRO_NATIVE_THREADS).
     threads = 1 if n_jobs > 1 else None
-    # Draw blocks are keyed by (normalized algorithm, N), so cells that
-    # differ only in machine config share one.  Lazily sampling cells
-    # (non-central PHF phase 1) read none.
-    lazy = phf_phase1 != "central"
 
-    def task(i: int, start: int, stop: int, spec: Any) -> tuple:
+    def task(i: int, start: int, stop: int) -> tuple:
         cell_key, algo, n, config = cells[i]
         return (cell_key, algo, n, sampler, start, stop, seed, lam,
-                phf_phase1, config, engine, spec, threads)
+                phf_phase1, config, engine, None, threads)
 
     parts = run_cells(
-        [
-            (
-                repr(cell_key),
-                None if lazy and normalize_algorithm(algo) == "phf" else (algo, n),
-            )
-            for cell_key, algo, n, _ in cells
-        ],
+        [repr(cell_key) for cell_key, _, _, _ in cells],
         task,
         _study_chunk,
         n_trials=n_trials,
         chunk_size=size,
-        sampler=sampler,
-        seed=seed,
         n_jobs=n_jobs,
         fingerprint=study_fingerprint(
             cells,

@@ -1,35 +1,17 @@
-"""Shared-memory draw-matrix blocks for the chunked runners.
+"""Shared-memory draw-matrix blocks: a retired transport.
 
-The sweep and study runners are *trial-chunked*: every chunk of a cell
-derives its own per-trial generators, so historically every chunk also
-re-sampled its own draw matrix from scratch -- ``O(chunks)`` redundant
-sampling per cell.  This module lets the parent sample each cell's
-``(n_trials, N-1)`` matrix **once**, publish it in a
-:class:`multiprocessing.shared_memory.SharedMemory` block, and have the
-workers map chunk row-slices out of it with zero copies.
+No run uses these helpers any more.  Every chunk of the chunked runners
+samples its own draw rows in the worker that runs it; a trial's
+generator depends on ``(seed, algorithm, N, t)`` alone, so a cell's
+chunks sample each row exactly once between them.  ``REPRO_SHM_MAX_BYTES``
+therefore affects no run.  The module stays only until the benchmark
+harness (``perfbench/``) stops importing it, and then goes with
+``tests/test_shm.py`` and lint rule R010.
 
-Bit-identity is free by construction: trial ``t``'s generator is a
-function of ``(seed, algorithm, N, t)`` alone, so the rows of the
-cell-wide matrix equal the rows any chunk would have sampled for itself.
-The runners therefore treat shared memory as a pure transport: whenever
-a block cannot be created (``n_jobs == 1``, zero-size matrices, the
-platform refuses, or the byte budget is exhausted) or cannot be attached
-(a worker landed on a machine state without the segment), the chunk
-falls back to sampling its own rows, and the results are identical
-either way.
-
-This module is the **only** place in the repository allowed to touch
-``multiprocessing.shared_memory`` (lint rule R010 enforces this): the
-segment lifecycle -- create, attach, untrack, close, unlink -- is easy
-to leak from call sites, so it stays centralized here.
-
-* The *parent* pairs every :func:`publish_draws` with
-  :func:`release_draws` (in a ``finally``); if the parent dies anyway,
-  its ``resource_tracker`` unlinks the segment at interpreter exit.
-* *Workers* attach via :func:`attached_draws`, which caches the mapping
-  per process (one attach per cell, not per chunk); an ``atexit`` hook
-  closes all cached mappings.  Pool workers share the parent's resource
-  tracker, so their duplicate attach-registrations are set no-ops.
+Until then it keeps its contract: it is the only module allowed to touch
+``multiprocessing.shared_memory`` (R010); :func:`publish_draws` pairs
+with :func:`release_draws`; :func:`attached_draws` caches one mapping
+per process and an ``atexit`` hook closes them.
 """
 
 from __future__ import annotations
@@ -52,13 +34,11 @@ __all__ = [
 ]
 
 #: ``(segment name, rows, cols)`` -- everything a worker needs to map a
-#: published float64 draw matrix.  Picklable (travels in chunk tasks).
+#: published float64 draw matrix.  Picklable.
 DrawSpec = Tuple[str, int, int]
 
-#: Default ceiling on the *total* bytes of simultaneously published
-#: blocks per run (override with ``REPRO_SHM_MAX_BYTES``).  Cells whose
-#: matrix would exceed the remaining budget fall back to per-chunk
-#: sampling rather than exhausting ``/dev/shm``.
+#: Default of :func:`max_bytes` (override with ``REPRO_SHM_MAX_BYTES``;
+#: no run reads it).
 DEFAULT_MAX_BYTES = 1 << 30
 
 _counter = itertools.count()

@@ -194,11 +194,10 @@ def trial_ratios(
     reference implementation for equivalence tests.
 
     ``draws`` optionally supplies the ``(n_trials, >= N-1)`` draw matrix
-    for exactly these trials (e.g. a chunk's row-slice of a cell-wide
-    shared-memory block, :mod:`repro.experiments.shm`); it must equal
-    what ``sampler.sample_trial_matrix`` would produce for the same
-    trial range, which holds whenever it was derived from the same
-    ``(seed, algorithm, n_processors)`` factory.  Batch-only.
+    for exactly these trials; it must equal what :func:`draw_rows`
+    samples for the same trial range.  No runner passes it (chunks
+    sample their own rows); it stays as a determinism anchor for callers
+    holding explicit rows.  Batch-only.
 
     ``n_threads`` is forwarded to the native kernels' in-kernel trial
     sharding (:func:`repro.core._native.resolve_n_threads`); ratios are

@@ -10,7 +10,11 @@ owes each of them:
   written by the runners before they shared ``run_cells`` -- resume
   without recomputing a single chunk and give a fresh run's results;
 * serial, pooled (processes, and threads where the runner has a backend)
-  and resumed-from-a-torn-journal runs agree exactly.
+  and resumed-from-a-torn-journal runs agree exactly;
+* a pooled run samples its draws in the workers only: the parent calls
+  no ``draw_rows`` and publishes no ``/dev/shm`` segment, and study
+  cells that share ``(algorithm, N)`` across machine configs still give
+  the serial matrices byte for byte.
 
 Regenerate the golden journals (only ever from a tree whose outputs are
 trusted) with::
@@ -20,19 +24,23 @@ trusted) with::
 
 from __future__ import annotations
 
+import glob
+import os
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import fault_study, runner, runtime_study
+from repro.experiments import fault_study, runner, runtime_study, stochastic
 from repro.experiments.config import StochasticConfig
 from repro.experiments.fault_study import run_fault_study
 from repro.experiments.runner import run_sweep
 from repro.experiments.runtime_study import run_study_cells
 from repro.problems.samplers import UniformAlpha
 from repro.simulator.machine import MachineConfig
+from repro.simulator.topology import RingTopology
 
 JOURNALS = Path(__file__).parent / "data" / "journals"
 
@@ -157,6 +165,74 @@ def test_serial_pooled_and_resumed_runs_agree(name, mode, tmp_path):
     else:
         kw = {} if mode == "processes" else {"backend": "threads"}
         assert run(n_jobs=2, **kw) == serial
+
+
+POOLED = [
+    (name, backend)
+    for name in sorted(RUNNERS)
+    for backend in ("processes", "threads")
+    if not (name == "fault" and backend == "threads")  # fault study: no backend
+]
+
+
+def _segments():
+    return set(glob.glob("/dev/shm/repro_draws_*"))
+
+
+@pytest.mark.parametrize("name, backend", POOLED)
+def test_pooled_runs_sample_in_workers_only(name, backend, monkeypatch):
+    parent = (os.getpid(), threading.get_ident())
+    calls = {"parent": 0, "threads": 0}
+    real_draw_rows = stochastic.draw_rows
+
+    def draw_rows(*args, **kwargs):
+        # Forked workers count in their own copy of ``calls``, so only
+        # the parent process's calls land here; pool threads count apart.
+        if os.getpid() == parent[0]:
+            calls["parent" if threading.get_ident() == parent[1] else "threads"] += 1
+        return real_draw_rows(*args, **kwargs)
+
+    for module in (stochastic, runner, runtime_study, fault_study):
+        if hasattr(module, "draw_rows"):
+            monkeypatch.setattr(module, "draw_rows", draw_rows)
+    at_start = []
+    real_execute = runner.execute_chunks
+
+    def execute_chunks(*args, **kwargs):
+        at_start.append(_segments())
+        return real_execute(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "execute_chunks", execute_chunks)
+    before = _segments()
+    kw = {} if backend == "processes" else {"backend": "threads"}
+    RUNNERS[name][0](n_jobs=2, **kw)
+    assert calls["parent"] == 0
+    if backend == "threads":
+        assert calls["threads"] > 0  # the spy sits on the workers' path
+    assert at_start and all(live <= before for live in at_start)
+    assert _segments() <= before
+
+
+#: Two machine configs per (algorithm, N): each cell samples its own
+#: rows, and both configs must still see the serial run's instances.
+SHARED_CELLS = [
+    ((algo, topo), algo, 16, MachineConfig(topology=factory))
+    for algo in ("ba", "phf")
+    for topo, factory in (("complete", None), ("ring", RingTopology))
+]
+
+
+@pytest.mark.parametrize("phf_phase1", ["central", "ba_prime"])
+def test_cells_sharing_algorithm_and_n_are_byte_identical(phf_phase1):
+    kw = dict(n_trials=6, seed=13, chunk_size=2, phf_phase1=phf_phase1)
+    serial = run_study_cells(SHARED_CELLS, UniformAlpha(0.1, 0.5), **kw)
+    for backend in ("processes", "threads"):
+        pooled = run_study_cells(
+            SHARED_CELLS, UniformAlpha(0.1, 0.5), n_jobs=2, backend=backend, **kw
+        )
+        assert list(pooled) == list(serial)
+        for key, matrix in serial.items():
+            assert pooled[key].tobytes() == matrix.tobytes(), (backend, key)
 
 
 if __name__ == "__main__":

@@ -119,19 +119,47 @@ echo "== smoke: journal truncate + cross-backend resume bit-identity =="
 # Interrupt a journaled run (truncate the journal mid-state), resume it
 # under the *other* execution backend, and require the merged result to
 # match an uninterrupted serial run bit for bit -- for a sweep, a
-# runtime-study cell and a fault-study cell.
+# runtime-study cell and a fault-study cell.  Pooled chunks sample their
+# own draws, so no run may publish a repro_draws_* segment: none may be
+# live when the executor starts, and none may be left behind.
 python - <<'EOF'
+import glob
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from repro.experiments import runner
 from repro.experiments.config import StochasticConfig
 from repro.experiments.fault_study import run_fault_study
 from repro.experiments.runner import run_sweep
 from repro.experiments.runtime_study import run_study_cells
 from repro.problems.samplers import UniformAlpha
+
+
+def segments():
+    return set(glob.glob("/dev/shm/repro_draws_*"))
+
+
+before = segments()
+executor = runner.execute_chunks
+starts = []
+
+
+def spied_execute_chunks(*args, **kwargs):
+    starts.append(kwargs.get("n_jobs"))
+    live = segments() - before
+    assert not live, f"draw segments live as the executor starts: {sorted(live)}"
+    return executor(*args, **kwargs)
+
+
+runner.execute_chunks = spied_execute_chunks
+
+
+def no_new_segments(what):
+    left = segments() - before
+    assert not left, f"{what} left draw segments behind: {sorted(left)}"
 
 
 def truncate(journal):
@@ -155,6 +183,7 @@ with tempfile.TemporaryDirectory() as tmp:
         pooled, backend="processes", journal_path=journal, resume=True
     )
     assert resumed.records == plain.records, "resume is not bit-identical"
+    no_new_segments("the sweep")
 
     cells = [(("ba", 8), "ba", 8, None)]
     study = dict(sampler=UniformAlpha(0.1, 0.5), n_trials=8, seed=11, chunk_size=2)
@@ -171,6 +200,7 @@ with tempfile.TemporaryDirectory() as tmp:
     assert np.array_equal(resumed_study[("ba", 8)], plain_study[("ba", 8)]), (
         "study resume is not bit-identical"
     )
+    no_new_segments("the study")
 
     # the fault study has one (process) backend: pooled write, serial resume
     fault = dict(algorithms=("ba",), n_values=(8,), fault_rates=(0.2,),
@@ -183,6 +213,8 @@ with tempfile.TemporaryDirectory() as tmp:
     assert resumed_fault.records == plain_fault.records, (
         "fault-study resume is not bit-identical"
     )
+    no_new_segments("the fault study")
+assert starts.count(2) == 6, f"pooled runs seen by the executor spy: {starts}"
 EOF
 
 echo "== chaos: supervised sweep under injected faults + crash consistency =="
