@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.partition import Partition
-from repro.core.problem import BisectableProblem
+from repro.core.problem import BisectableProblem, check_initial_weight
 from repro.core.tree import BisectionNode, BisectionTree
 
 __all__ = ["ba_split", "run_ba", "run_ba_prime", "ba_final_weights"]
@@ -205,8 +205,7 @@ def ba_final_weights(
     """
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    if initial_weight <= 0:
-        raise ValueError(f"initial_weight must be positive, got {initial_weight}")
+    check_initial_weight(initial_weight)
     out: List[float] = []
     stack: List[Tuple[float, int]] = [(float(initial_weight), n_processors)]
     while stack:

@@ -26,7 +26,11 @@ import numpy as np
 from repro.core.ba import ba_split
 from repro.core.hf import hf_final_weights, run_hf
 from repro.core.partition import Partition
-from repro.core.problem import BisectableProblem, check_alpha
+from repro.core.problem import (
+    BisectableProblem,
+    check_alpha,
+    check_initial_weight,
+)
 from repro.core.tree import BisectionNode, BisectionTree
 
 __all__ = ["bahf_threshold", "run_bahf", "bahf_final_weights"]
@@ -151,8 +155,7 @@ def bahf_final_weights(
     alpha = check_alpha(alpha)
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    if initial_weight <= 0:
-        raise ValueError(f"initial_weight must be positive, got {initial_weight}")
+    check_initial_weight(initial_weight)
     threshold = bahf_threshold(alpha, lam)
     # DrawStream-like callables expose a bulk ``take`` that avoids
     # per-draw float boxing; plain callables keep working.

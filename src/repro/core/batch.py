@@ -11,17 +11,16 @@ three kernels to advance *every trial of a batch* by one bisection (or
 one recursion level) per vectorized NumPy step:
 
 * :func:`hf_final_weights_batch` -- HF over a ``(n_trials, N)`` weight
-  table.  Two interchangeable formulations: an **argmax frontier** (one
-  row-wise ``argmax`` per bisection; O(N) elements scanned per trial per
-  step, unbeatable constants up to thousands of processors) and an
-  **array heap** (a wide max-heap per trial laid out in the rows of one
-  array, with masked vectorized sift-down/sift-up across trials; O(log N)
-  vector steps per bisection, the winner only when both N and N·T are
-  large -- :func:`numpy_hf_method` holds the measured rule).  Both
-  produce the same final-weight multiset as the scalar ``heapq`` loop --
-  equal-weight ties may pop in a different order, but swapping the pop
-  order of equal weights provably leaves the resulting weight multiset
-  unchanged.
+  table.  Without a compiler it runs one of two formulations, picked per
+  batch by the measured rule :func:`numpy_hf_method`: an **argmax
+  frontier** (one row-wise ``argmax`` per bisection across all trials;
+  O(N) elements scanned per trial per step, the winner for small N and
+  many trials) or the scalar ``heapq`` oracle
+  :func:`~repro.core.hf.hf_final_weights` once per trial (O(log N) per
+  bisection, the winner at large N or few trials).  Both produce the
+  same final-weight multiset -- equal-weight ties may pop in a different
+  order, but swapping the pop order of equal weights provably leaves the
+  resulting weight multiset unchanged.
 
 * :func:`ba_final_weights_batch` / :func:`bahf_final_weights_batch` --
   one level-order frontier vectorization of the BA recursion (plain BA
@@ -54,6 +53,8 @@ import numpy as np
 
 from repro.core import _native
 from repro.core.bahf import bahf_threshold
+from repro.core.hf import _hf_negated_heap, check_finite_draws
+from repro.core.problem import check_initial_weight
 
 __all__ = [
     "hf_final_weights_batch",
@@ -61,27 +62,30 @@ __all__ = [
     "bahf_final_weights_batch",
 ]
 
-#: The NumPy HF kernel choice, measured without a compiler (frontier vs
-#: heap, ms): N=1024 T=256 189 vs 396; N=4096 T=64 619 vs 1018, T=128
-#: 1377 vs 1257; N=8192 T=32 1131 vs 1654, T=64 3115 vs 2227; N=16384
-#: T=16 2047 vs 2317, T=32 4939 vs 2840.  The frontier's O(N) argmax per
-#: bisection costs O(N^2·T) in all, while the heap pays a fixed overhead
-#: of many small NumPy calls per bisection and grows only slowly with T,
-#: so the heap wins only at large N *and* large N·T.
-HEAP_MIN_N = 4096
-HEAP_MIN_WORK = 1 << 19
+#: The no-compiler HF rule.  Per trial, the argmax frontier pays its
+#: fixed NumPy overhead per bisection divided by the T trials, plus a
+#: prefix scan that grows with N; the ``heapq`` oracle pays about the same
+#: per bisection at any N.  Their time ratio is then about
+#: ``FRONTIER_MIN_TRIALS / T + N / FRONTIER_MAX_N``: the frontier needs
+#: at least ``FRONTIER_MIN_TRIALS`` trials, more as N nears
+#: ``FRONTIER_MAX_N``, and never wins from there on.  Fitted on the N × T
+#: grid of ``benchmarks/results/BENCH_hf_fallback.json`` (written by
+#: ``benchmarks/bench_hf_fallback.py``).
+FRONTIER_MAX_N = 1152
+FRONTIER_MIN_TRIALS = 32
 
 
 def numpy_hf_method(n_processors: int, n_trials: int) -> str:
-    """The faster NumPy HF kernel for a ``(n_trials, n_processors)`` batch.
+    """The faster no-compiler HF kernel for a ``(n_trials, N)`` batch.
 
-    ``"heap"`` when ``N >= HEAP_MIN_N`` and ``N·T >= HEAP_MIN_WORK``,
-    else ``"frontier"``.  Both give the same final-weight multisets, so
-    the choice never changes a result.
+    ``"frontier"`` when ``N / FRONTIER_MAX_N + FRONTIER_MIN_TRIALS / T <
+    1``, else ``"heap"`` (the ``heapq`` oracle once per trial).  Both give
+    the same final-weight multisets, so the choice never changes a result.
     """
-    if n_processors >= HEAP_MIN_N and n_processors * n_trials >= HEAP_MIN_WORK:
-        return "heap"
-    return "frontier"
+    margin = n_trials * (FRONTIER_MAX_N - n_processors)
+    if margin > FRONTIER_MIN_TRIALS * FRONTIER_MAX_N:
+        return "frontier"
+    return "heap"
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +103,7 @@ def _as_draw_matrix(alpha_draws, n_needed: int) -> np.ndarray:
         raise ValueError(
             f"need {n_needed} alpha draws per trial, got {draws.shape[1]}"
         )
+    check_finite_draws(draws[:, :n_needed])
     return draws
 
 
@@ -110,152 +115,54 @@ def _as_initial_weights(initial_weight, n_trials: int) -> np.ndarray:
         raise ValueError(
             f"initial_weight must be scalar or shape ({n_trials},), got {w0.shape}"
         )
-    if np.any(w0 <= 0):
-        raise ValueError("initial weights must be positive")
+    ok = (w0 > 0) & (w0 < np.inf)
+    if not ok.all():
+        check_initial_weight(w0[~ok][0])  # raises, with the scalar message
     return w0
 
 
 # ----------------------------------------------------------------------
-# HF: argmax frontier
+# HF without a compiler: argmax frontier or the heapq oracle
 # ----------------------------------------------------------------------
+
+
+#: The frontier runs its trials in blocks of at most this many weight
+#: cells (1 MiB of float64), so the table every bisection scans stays in
+#: a core's L2 cache.  Unblocked, N = 256..1024 with T·N = 2^18..2^21
+#: cells ran 1.4-1.7x slower (Xeon with 2 MiB of L2 per core).
+FRONTIER_BLOCK_CELLS = 1 << 17
 
 
 def _hf_frontier(w0: np.ndarray, n: int, draws: np.ndarray) -> np.ndarray:
     """One row-wise argmax per bisection over the active weight prefix."""
     n_trials = w0.shape[0]
     weights = np.empty((n_trials, n), dtype=np.float64)
-    weights[:, 0] = w0
-    rows = np.arange(n_trials)
-    for k in range(n - 1):
-        heaviest = np.argmax(weights[:, : k + 1], axis=1)
-        w = weights[rows, heaviest]
-        a = draws[:, k]
-        weights[rows, heaviest] = a * w
-        weights[:, k + 1] = (1.0 - a) * w
+    step = max(1, FRONTIER_BLOCK_CELLS // n)
+    for lo in range(0, n_trials, step):
+        block = weights[lo : lo + step]  # a view: writes land in weights
+        block_draws = draws[lo : lo + step]
+        block[:, 0] = w0[lo : lo + step]
+        rows = np.arange(block.shape[0])
+        for k in range(n - 1):
+            heaviest = np.argmax(block[:, : k + 1], axis=1)
+            w = block[rows, heaviest]
+            a = block_draws[:, k]
+            block[rows, heaviest] = a * w
+            block[:, k + 1] = (1.0 - a) * w
     return weights
 
 
-# ----------------------------------------------------------------------
-# HF: array heap (one binary max-heap per row, sifted across trials)
-# ----------------------------------------------------------------------
+def _hf_heapq(w0: np.ndarray, n: int, draws: np.ndarray) -> np.ndarray:
+    """The ``heapq`` loop of :func:`~repro.core.hf.hf_final_weights`, per row.
 
-
-#: Heap arity.  A wide heap trades a few more comparisons per level for a
-#: much shallower sift path; with one fancy-indexing round per *level*
-#: (not per comparison), shallow wins decisively in NumPy.
-_HEAP_ARITY = 16
-
-
-def _sift_up_uniform(heap_t: np.ndarray, pos: int) -> None:
-    """Bubble the element just written at slot ``pos`` up, in all trials.
-
-    ``heap_t`` is slot-major ``(slots, trials)``: slot ``pos`` is one
-    contiguous row.  Because every trial inserts at the same slot, the
-    comparison chain uses *uniform* slot indices -- only the set of
-    trials still moving shrinks -- so each level is a handful of
-    contiguous vector ops, and the common case (the new element stays at
-    the bottom) costs a single compare.
+    The inputs were checked once for the whole batch, so each row goes
+    straight to the loop.
     """
-    child = pos
-    rows: Optional[np.ndarray] = None
-    while child > 0:
-        parent = (child - 1) // _HEAP_ARITY
-        if rows is None:
-            child_w = heap_t[child]
-            parent_w = heap_t[parent]
-            swap = child_w > parent_w
-            if not swap.any():
-                return
-            rows = np.nonzero(swap)[0]
-            moved = child_w[rows]
-            heap_t[child, rows] = parent_w[rows]
-            heap_t[parent, rows] = moved
-        else:
-            child_w = heap_t[child, rows]
-            parent_w = heap_t[parent, rows]
-            swap = child_w > parent_w
-            if not swap.any():
-                return
-            rows = rows[swap]
-            heap_t[child, rows] = parent_w[swap]
-            heap_t[parent, rows] = child_w[swap]
-        child = parent
-
-
-def _sift_down_from_root(
-    heap_t: np.ndarray, rows: np.ndarray, values: np.ndarray, size: int
-) -> None:
-    """Place ``values`` (one per row) dropped into the root slot.
-
-    Carries the sifted value instead of re-reading it, descends per-trial
-    paths level by level, and retires trials as their value settles; the
-    active set shrinks fast because the dropped value (the big child of a
-    recent maximum) ranks high.
-    """
-    if size < 2:
-        heap_t[0, rows] = values
-        return
-    idx = np.zeros(rows.size, dtype=np.intp)
-    offsets = np.arange(_HEAP_ARITY, dtype=np.intp)
-    while True:
-        base = idx * _HEAP_ARITY + 1
-        cols = base[:, None] + offsets
-        in_range = cols < size
-        children = heap_t[np.minimum(cols, size - 1), rows[:, None]]
-        children = np.where(in_range, children, -np.inf)
-        best = np.argmax(children, axis=1)
-        pick = np.arange(rows.size), best
-        child_w = children[pick]
-        move = child_w > values
-        settle = ~move
-        if settle.any():
-            heap_t[idx[settle], rows[settle]] = values[settle]
-        if not move.any():
-            return
-        rows, values = rows[move], values[move]
-        child_slot = cols[pick][move]
-        heap_t[idx[move], rows] = child_w[move]
-        idx = child_slot
-
-
-def _hf_heap(w0: np.ndarray, n: int, draws: np.ndarray) -> np.ndarray:
-    """Hold-back array heap: the running maximum lives outside the heap.
-
-    Each bisection splits ``cur`` (the per-trial maximum) into a big and
-    a small child.  The small child is appended to the heap, where it
-    rarely bubbles past the bottom level; the big child either becomes
-    the next maximum outright or displaces the heap root and pays one
-    (shallow, thanks to the wide arity and its own high rank) sift-down.
-    The heap is stored slot-major ``(slots, trials)`` so per-slot
-    operations are contiguous across the batch.
-    """
-    n_trials = w0.shape[0]
-    heap_t = np.empty((n, n_trials), dtype=np.float64)
-    cur = w0.copy()
-    all_rows = np.arange(n_trials)
-    draws_t = np.ascontiguousarray(draws[:, : n - 1].T)
-    # Samplers guarantee alpha-hat <= 1/2, making the (1-a) child the big
-    # one; fall back to explicit min/max for out-of-convention draws.
-    ordered = bool(np.all(draws_t <= 0.5))
-    for k in range(n - 1):
-        a = draws_t[k]
-        c1 = a * cur
-        c2 = (1.0 - a) * cur
-        if ordered:
-            big, small = c2, c1
-        else:
-            big, small = np.maximum(c1, c2), np.minimum(c1, c2)
-        heap_t[k] = small
-        if k > 0:
-            _sift_up_uniform(heap_t, k)
-        root = heap_t[0]
-        demote = big < root
-        cur = np.where(demote, root, big)
-        if demote.any():
-            rows = all_rows[demote]
-            _sift_down_from_root(heap_t, rows, big[demote], k + 1)
-    heap_t[n - 1] = cur
-    return heap_t.T
+    out = np.empty((w0.shape[0], n), dtype=np.float64)
+    rows = draws[:, : n - 1].tolist()
+    for t, (w, row) in enumerate(zip(w0.tolist(), rows)):
+        out[t] = _hf_negated_heap(w, row)
+    return np.negative(out, out=out)
 
 
 def hf_final_weights_batch(
@@ -276,10 +183,12 @@ def hf_final_weights_batch(
     path for the same draws).
 
     ``method`` is ``"frontier"``, ``"heap"``, ``"native"`` or ``"auto"``.
-    ``"auto"`` uses the compiled C heap, falling back to the NumPy kernel
+    ``"heap"`` is the scalar ``heapq`` oracle run once per trial row.
+    ``"auto"`` uses the compiled C heap, falling back to the kernel
     :func:`numpy_hf_method` picks when no system compiler is available
     (see :mod:`repro.core._native`); asking for ``"native"`` explicitly
-    raises if the compiled kernel is unavailable.
+    raises if the compiled kernel is unavailable.  Non-finite draws or
+    initial weights raise ``ValueError``.
     ``n_threads`` shards the native kernel's trials across in-kernel
     threads (``None`` defers to ``REPRO_NATIVE_THREADS`` / auto); results
     are bit-identical for every count, and the NumPy paths ignore it.
@@ -298,7 +207,7 @@ def hf_final_weights_batch(
     if method == "frontier":
         return _hf_frontier(w0, n_processors, draws)
     if method == "heap":
-        return _hf_heap(w0, n_processors, draws)
+        return _hf_heapq(w0, n_processors, draws)
     if method == "native":
         out = _native.hf_batch_native(w0, n_processors, draws, n_threads)
         if out is None:
@@ -343,7 +252,7 @@ def _level_order(
     child keeps ``start``, the light child moves to ``start + n1``.
     Nodes with ``n < threshold`` stop splitting: single processors are
     leaves, larger nodes become HF sub-jobs grouped by processor count
-    and finished with the NumPy HF kernel :func:`numpy_hf_method` picks,
+    and finished with the HF kernel :func:`numpy_hf_method` picks,
     on their draw slices (``draws[t, off : off + n - 1]``, the scalar DFS
     consumption order).  Every final weight lands in its processor's
     column, so row ``t`` of the result is trial ``t``'s partition in

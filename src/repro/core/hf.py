@@ -32,10 +32,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.partition import Partition
-from repro.core.problem import BisectableProblem
+from repro.core.problem import BisectableProblem, check_initial_weight
 from repro.core.tree import BisectionNode, BisectionTree
 
-__all__ = ["run_hf", "hf_final_weights", "hf_trace"]
+__all__ = ["run_hf", "hf_final_weights", "hf_trace", "check_finite_draws"]
 
 
 def run_hf(
@@ -110,20 +110,42 @@ def hf_final_weights(
     """
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    if initial_weight <= 0:
-        raise ValueError(f"initial_weight must be positive, got {initial_weight}")
+    w0 = check_initial_weight(initial_weight)
     draws = np.asarray(alpha_draws, dtype=np.float64)
     if draws.size < n_processors - 1:
         raise ValueError(
             f"need {n_processors - 1} alpha draws, got {draws.size}"
         )
-    heap = [-float(initial_weight)]
-    for k in range(n_processors - 1):
-        w = -heapq.heappop(heap)
-        a = float(draws[k])
-        heapq.heappush(heap, -(a * w))
-        heapq.heappush(heap, -((1.0 - a) * w))
-    return -np.asarray(heap, dtype=np.float64)
+    draws = draws[: n_processors - 1]
+    check_finite_draws(draws)
+    return -np.asarray(_hf_negated_heap(w0, draws.tolist()), dtype=np.float64)
+
+
+def _hf_negated_heap(w0: float, draws: List[float]) -> List[float]:
+    """HF's bisection loop on checked inputs: the final weights, negated.
+
+    The heap holds negated weights, so ``heap[0]`` is minus the heaviest
+    piece, and scaling it by ``a`` and ``1 - a`` negates its children
+    exactly.
+    """
+    heap = [-w0]
+    replace, push = heapq.heapreplace, heapq.heappush
+    for a in draws:
+        w = heap[0]
+        replace(heap, a * w)
+        push(heap, (1.0 - a) * w)
+    return heap
+
+
+def check_finite_draws(draws: np.ndarray) -> None:
+    """Reject NaN / infinite α̂ draws.
+
+    HF's kernels would order such pieces differently and so disagree;
+    every HF entry point checks with this one message.
+    """
+    finite = np.isfinite(draws)
+    if not finite.all():
+        raise ValueError(f"alpha draws must be finite, got {draws[~finite][0]}")
 
 
 def hf_trace(

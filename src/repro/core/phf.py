@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.bounds import r_alpha
 from repro.core.partition import Partition
-from repro.core.problem import BisectableProblem, check_alpha
+from repro.core.problem import BisectableProblem, check_alpha, check_initial_weight
 from repro.core.tree import BisectionNode, BisectionTree
 
 __all__ = [
@@ -109,7 +109,7 @@ def phf_prescription(
     draws violate the declared α).
     """
     n = n_processors
-    w0 = float(initial_weight)
+    w0 = check_initial_weight(initial_weight)
     threshold = phf_threshold(w0, alpha, n)
     keep_heavy = keep == "heavy"
     draws = np.asarray(row, dtype=np.float64)[: max(0, n - 1)].tolist()

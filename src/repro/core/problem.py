@@ -26,12 +26,14 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
 __all__ = [
     "BisectableProblem",
     "check_alpha",
+    "check_initial_weight",
     "normalize_algorithm",
     "bisection_respects_alpha",
 ]
@@ -48,6 +50,16 @@ def check_alpha(alpha: float) -> float:
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must be in (0, 1/2], got {alpha}")
     return float(alpha)
+
+
+def check_initial_weight(initial_weight: float) -> float:
+    """Validate a root weight: finite and positive.  Returns it as a float."""
+    w = float(initial_weight)
+    if not 0.0 < w < math.inf:
+        raise ValueError(
+            f"initial_weight must be finite and positive, got {initial_weight}"
+        )
+    return w
 
 
 def normalize_algorithm(algorithm: str) -> str:

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.hf import hf_final_weights
+from repro.core.problem import check_initial_weight
 
 __all__ = ["SELECTION_STRATEGIES", "selection_final_weights"]
 
@@ -52,8 +53,7 @@ def selection_final_weights(
         )
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    if initial_weight <= 0:
-        raise ValueError(f"initial_weight must be positive, got {initial_weight}")
+    check_initial_weight(initial_weight)
     draws = np.asarray(alpha_draws, dtype=np.float64)
     if draws.size < n_processors - 1:
         raise ValueError(f"need {n_processors - 1} alpha draws, got {draws.size}")

@@ -39,7 +39,12 @@ import numpy as np
 from repro.core.ba import ba_split
 from repro.core.bahf import bahf_threshold
 from repro.core.phf import phf_prescription
-from repro.core.problem import BisectableProblem, check_alpha, normalize_algorithm
+from repro.core.problem import (
+    BisectableProblem,
+    check_alpha,
+    check_initial_weight,
+    normalize_algorithm,
+)
 
 __all__ = [
     "DrawCursor",
@@ -342,6 +347,7 @@ def prescribed_problem(
     prescription); for ``hf``/``ba`` it is only declared on the instance.
     """
     key = normalize_algorithm(algorithm)
+    initial_weight = check_initial_weight(initial_weight)
     if key == "hf":
         return hf_draw_problem(
             n_processors, row, initial_weight=initial_weight, alpha=alpha

@@ -66,7 +66,11 @@ from repro.core.phf import (
     phf_prescription,
     phf_threshold,
 )
-from repro.core.problem import check_alpha, normalize_algorithm
+from repro.core.problem import (
+    check_alpha,
+    check_initial_weight,
+    normalize_algorithm,
+)
 from repro.simulator.machine import MachineConfig
 from repro.simulator.topology import CompleteTopology
 
@@ -205,7 +209,7 @@ def fastpath_hf(
     n = n_processors
     draws = _as_draw_matrix(alpha_draws, max(0, n - 1))
     n_trials = draws.shape[0]
-    w0 = float(initial_weight)
+    w0 = check_initial_weight(initial_weight)
     topo = config.topology(n) if config.topology else None
 
     # Timing is trial-independent: one scalar chain, replayed in the
@@ -259,7 +263,7 @@ def _ba_like_result(
     if n < 1:
         raise ValueError(f"n_processors must be >= 1, got {n}")
     n_trials = draws.shape[0]
-    w0 = float(initial_weight)
+    w0 = check_initial_weight(initial_weight)
     # The C kernel covers the complete network; topologies (and runs
     # without a compiler) take the batch module's timed level-order walk.
     native = config.topology is None and _native.ba_metrics_native(
@@ -528,7 +532,7 @@ def fastpath_phf(
         raise ValueError(f"n_processors must be >= 1, got {n}")
     draws = _as_draw_matrix(alpha_draws, max(0, n - 1))
     n_trials = draws.shape[0]
-    w0 = float(initial_weight)
+    w0 = check_initial_weight(initial_weight)
     threshold = phf_threshold(w0, alpha, n)
     native = config.topology is None and _native.phf_metrics_native(
         draws,

@@ -2,7 +2,7 @@
 
 The batched HF/BA/BA-HF kernels must reproduce the scalar fast paths to
 <= 1e-12 (they are in fact bit-identical) for the same per-trial draws.
-For HF the heap/frontier/native formulations may pop equal weights in a
+For HF the frontier/native formulations may pop equal weights in a
 different order than ``heapq``, which permutes the final weight vector
 but provably not its multiset -- so rows are compared sorted.
 """
@@ -14,11 +14,14 @@ from repro.core import _native
 from repro.core._native import native_available
 from repro.core.ba import ba_final_weights
 from repro.core.bahf import bahf_final_weights
+from repro.core import batch
 from repro.core.batch import (
-    HEAP_MIN_N,
+    FRONTIER_MAX_N,
+    FRONTIER_MIN_TRIALS,
     ba_final_weights_batch,
     bahf_final_weights_batch,
     hf_final_weights_batch,
+    numpy_hf_method,
 )
 from repro.core.hf import hf_final_weights
 from repro.experiments.stochastic import trial_ratios
@@ -27,6 +30,12 @@ from repro.problems.samplers import (
     DiscreteAlpha,
     FixedAlpha,
     UniformAlpha,
+)
+from repro.simulator.fastpath import (
+    fastpath_ba,
+    fastpath_bahf,
+    fastpath_hf,
+    fastpath_phf,
 )
 from repro.utils.rng import SeedSequenceFactory
 
@@ -112,7 +121,7 @@ class TestParity:
 
 class TestHfMethods:
     def test_heap_and_frontier_agree_above_threshold(self):
-        n = HEAP_MIN_N + 5
+        n = FRONTIER_MAX_N + 5
         draws = _draw_matrix(UniformAlpha(0.01, 0.5), n, n_trials=4)
         heap = hf_final_weights_batch(1.0, n, draws, method="heap")
         frontier = hf_final_weights_batch(1.0, n, draws, method="frontier")
@@ -261,6 +270,74 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="positive"):
             hf_final_weights_batch(0.0, 4, draws)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "hf", "ba", "bahf", "hf_batch", "hf_batch_vector", "ba_batch",
+            "bahf_batch", "fastpath_hf", "fastpath_ba", "fastpath_bahf",
+            "fastpath_phf",
+        ],
+    )
+    def test_nonfinite_initial_weight_rejected(self, entry, bad):
+        draws = np.full((2, 7), 0.3)
+        row = draws[0]
+        calls = {
+            "hf": lambda: hf_final_weights(bad, 8, row),
+            "ba": lambda: ba_final_weights(bad, 8, _Stream(row)),
+            "bahf": lambda: bahf_final_weights(bad, 8, _Stream(row), alpha=0.3),
+            "hf_batch": lambda: hf_final_weights_batch(bad, 8, draws),
+            "hf_batch_vector": lambda: hf_final_weights_batch(
+                np.array([1.0, bad]), 8, draws
+            ),
+            "ba_batch": lambda: ba_final_weights_batch(bad, 8, draws),
+            "bahf_batch": lambda: bahf_final_weights_batch(
+                bad, 8, draws, alpha=0.3
+            ),
+            "fastpath_hf": lambda: fastpath_hf(8, draws, initial_weight=bad),
+            "fastpath_ba": lambda: fastpath_ba(8, draws, initial_weight=bad),
+            "fastpath_bahf": lambda: fastpath_bahf(
+                8, draws, alpha=0.3, initial_weight=bad
+            ),
+            "fastpath_phf": lambda: fastpath_phf(
+                8, draws, alpha=0.3, initial_weight=bad
+            ),
+        }
+        with pytest.raises(
+            ValueError, match=f"initial_weight must be finite and positive, got {bad}"
+        ):
+            calls[entry]()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "entry", ["oracle", "frontier", "heap", "auto", "ba", "bahf", "fastpath"]
+    )
+    def test_nonfinite_draw_rejected(self, entry, bad):
+        # Without the check the frontier and the heapq oracle order a NaN
+        # piece differently, so the no-compiler rule could change a result.
+        draws = np.full((2, 7), 0.3)
+        draws[1, 3] = bad
+        calls = {
+            "oracle": lambda: hf_final_weights(1.0, 8, draws[1]),
+            "frontier": lambda: hf_final_weights_batch(
+                1.0, 8, draws, method="frontier"
+            ),
+            "heap": lambda: hf_final_weights_batch(1.0, 8, draws, method="heap"),
+            "auto": lambda: hf_final_weights_batch(1.0, 8, draws),
+            "ba": lambda: ba_final_weights_batch(1.0, 8, draws),
+            "bahf": lambda: bahf_final_weights_batch(1.0, 8, draws, alpha=0.1),
+            "fastpath": lambda: fastpath_hf(8, draws),
+        }
+        with pytest.raises(ValueError, match=f"alpha draws must be finite, got {bad}"):
+            calls[entry]()
+
+    def test_nonfinite_draws_past_the_used_columns_ignored(self):
+        draws = np.full((2, 9), 0.3)
+        draws[:, 7:] = np.nan
+        out = hf_final_weights_batch(1.0, 8, draws)
+        assert np.isfinite(out).all()
+        assert np.isfinite(hf_final_weights(1.0, 8, draws[0])).all()
+
     def test_zero_processors_rejected(self):
         with pytest.raises(ValueError, match="n_processors"):
             ba_final_weights_batch(1.0, 0, np.empty((2, 0)))
@@ -282,6 +359,41 @@ class TestInputValidation:
         np.testing.assert_array_equal(
             np.sort(batch_wide), np.sort(batch_narrow)
         )
+
+
+class TestNoCompilerRule:
+    """Under REPRO_NO_NATIVE, ``method="auto"`` runs the kernel
+    :func:`numpy_hf_method` picks, on each side of the rule, and matches
+    the sorted scalar oracle rows bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _no_native(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_load_attempted", False)
+
+    @pytest.mark.parametrize(
+        "n, n_trials, method",
+        [
+            (8, 2 * FRONTIER_MIN_TRIALS, "frontier"),
+            (FRONTIER_MAX_N // 2, 4 * FRONTIER_MIN_TRIALS, "frontier"),
+            (8, FRONTIER_MIN_TRIALS, "heap"),  # too few trials
+            (FRONTIER_MAX_N // 2, 2 * FRONTIER_MIN_TRIALS, "heap"),
+            (FRONTIER_MAX_N, 4 * FRONTIER_MIN_TRIALS, "heap"),  # too many N
+        ],
+    )
+    def test_auto_matches_the_oracle(self, monkeypatch, n, n_trials, method):
+        assert numpy_hf_method(n, n_trials) == method
+
+        def refuse(*args):
+            raise AssertionError("the rule picked the other kernel")
+
+        other = "_hf_heapq" if method == "frontier" else "_hf_frontier"
+        monkeypatch.setattr(batch, other, refuse)
+        draws = _draw_matrix(UniformAlpha(0.1, 0.5), n, n_trials=n_trials)
+        out = hf_final_weights_batch(1.0, n, draws)
+        refs = [np.sort(hf_final_weights(1.0, n, row)) for row in draws]
+        assert np.array_equal(np.sort(out, axis=1), np.array(refs))
 
 
 class TestTrialRatios:

@@ -28,6 +28,8 @@ import numpy as np
 import pytest
 
 from repro.chaos import CHAOS_PROFILES, ChaosConfig, ChaosSpec
+from repro.core import batch as batch_module
+from repro.core.batch import FRONTIER_MAX_N, FRONTIER_MIN_TRIALS
 from repro.core.metrics import summarize_ratios
 from repro.experiments.stochastic import _trial_factory, draw_rows, trial_ratios
 from repro.problems import BetaAlpha, DiscreteAlpha, FixedAlpha, UniformAlpha
@@ -552,6 +554,25 @@ class TestBatchEngine:
             )
             assert payload["ratios"] == summarize_ratios(direct).as_dict()
 
+    def test_degraded_hf_above_the_frontier_cap(self, monkeypatch):
+        """A degraded HF request at N above FRONTIER_MAX_N runs the heapq
+        oracle per trial, bit-identical to trial_ratios."""
+
+        def refuse(*args):
+            raise AssertionError("the frontier ran above its cap")
+
+        monkeypatch.setattr(batch_module, "_hf_frontier", refuse)
+        breaker = CircuitBreaker(failure_threshold=1)
+        breaker.record_failure()  # breaker open: NumPy fallback, inline
+        req = make_request(n=FRONTIER_MAX_N + 1, n_trials=16, seed=9)
+        _, results = self.settle([req], breaker=breaker)
+        assert results[0]["degraded"]
+        direct = trial_ratios(
+            req.algorithm, req.n, req.sampler,
+            n_trials=req.n_trials, seed=req.seed,
+        )
+        assert results[0]["ratios"] == summarize_ratios(direct).as_dict()
+
     def test_quarantined_batch_fails_its_requests(self):
         chaos = ChaosSpec(
             config=ChaosConfig(transient_rate=1.0, faulty_attempts=99),
@@ -593,11 +614,23 @@ class TestBatchEngine:
             assert payload["ratios"] == summarize_ratios(direct).as_dict()
 
     def test_fallback_method_selection(self):
-        # HF follows the one measured (N, n_trials) rule in core.batch.
-        assert _fallback_method("hf", 32, 1) == "frontier"
-        assert _fallback_method("phf", 4096, 64) == "frontier"
-        assert _fallback_method("phf", 4096, 128) == "heap"
-        assert _fallback_method("hf", 2048, 4096) == "frontier"
+        # HF follows the one measured (N, n_trials) rule in core.batch:
+        # the frontier iff N / FRONTIER_MAX_N + FRONTIER_MIN_TRIALS / T < 1.
+        max_n, min_t = FRONTIER_MAX_N, FRONTIER_MIN_TRIALS
+        for algorithm in ("hf", "phf"):
+            assert _fallback_method(algorithm, 1, min_t) == "heap"
+            assert _fallback_method(algorithm, 1, min_t + 1) == "frontier"
+            assert _fallback_method(algorithm, max_n // 2, 2 * min_t) == "heap"
+            assert (
+                _fallback_method(algorithm, max_n // 2, 2 * min_t + 1)
+                == "frontier"
+            )
+            assert _fallback_method(algorithm, max_n - 1, max_n * min_t) == "heap"
+            assert (
+                _fallback_method(algorithm, max_n - 1, max_n * min_t + 1)
+                == "frontier"
+            )
+            assert _fallback_method(algorithm, max_n, 1 << 30) == "heap"
         assert _fallback_method("ba", 4096, 256) == "frontier"
         assert _fallback_method("bahf", 4096, 256) == "frontier"
 

@@ -50,6 +50,22 @@ if [ "$des_out" != "$fast_out" ] || [ "$des_out" != "$numpy_out" ]; then
     exit 1
 fi
 
+echo "== smoke: figure5, native vs REPRO_NO_NATIVE =="
+# With 64 trials per cell up to N=2048, the no-compiler HF cells fall on
+# both sides of batch.numpy_hf_method (the argmax frontier up to N=512,
+# the heapq oracle from N=1024); the figure must be byte-identical to
+# the compiled kernels' either way.
+fig_native=$(mktemp)
+fig_numpy=$(mktemp)
+python -m repro.experiments.cli figure5 --trials 64 --max-n 2048 > "$fig_native"
+REPRO_NO_NATIVE=1 python -m repro.experiments.cli figure5 --trials 64 --max-n 2048 > "$fig_numpy"
+if ! cmp -s "$fig_native" "$fig_numpy"; then
+    echo "figure5 differs between the native kernels and REPRO_NO_NATIVE=1" >&2
+    diff "$fig_native" "$fig_numpy" >&2 || true
+    exit 1
+fi
+rm -f "$fig_native" "$fig_numpy"
+
 echo "== smoke: bench_compare self-diff =="
 # A benchmark artifact compared against itself must report no regression.
 if [ -f benchmarks/results/BENCH_fastpath.json ]; then
