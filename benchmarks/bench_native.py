@@ -99,18 +99,18 @@ def _write_artifacts():
     """Dump BENCH_native.json + a readable table after every entry.
 
     Written incrementally (not from a final test) so the artifacts exist
-    even under ``--benchmark-only``, which deselects plain tests.
+    even under ``--benchmark-only``, which deselects plain tests.  The
+    header holds only the parameters every entry shares; what belongs to
+    one run (its machine, ``full_scale``, its trial count) is in the
+    entry that run wrote, since a partial re-run keeps the other entries.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "n_processors": N_PROCESSORS,
         "kernel_trials": KERNEL_TRIALS,
-        "endtoend_trials": ENDTOEND_TRIALS,
         "seed": SEED,
         "sampler": SAMPLER.describe(),
-        "full_scale": full_scale(),
-        "machine": machine_meta(),
         "kernels": _RESULTS["kernels"],
         "entries": _RESULTS["entries"],
         "thread_scaling": _RESULTS["thread_scaling"],
@@ -185,6 +185,7 @@ def _record_kernel(benchmark, kernel, native_fn, numpy_fn, n_trials):
         "numpy_trials_per_s": numpy_rate,
         "native_trials_per_s": native_rate,
         "speedup": native_rate / numpy_rate,
+        "machine": machine_meta(),
     }
     _RESULTS["kernels"][kernel] = entry
     benchmark.extra_info.update(entry)
@@ -284,6 +285,7 @@ class TestNativeKernelThroughput:
             "numpy_trials_per_s": numpy_rate,
             "native_trials_per_s": native_rate,
             "speedup": native_rate / numpy_rate,
+            "machine": machine_meta(),
         }
         _RESULTS["kernels"]["phf"] = entry
         benchmark.extra_info.update(entry)
@@ -331,6 +333,8 @@ class TestEndToEnd:
             "wall_seconds": wall,
             "trials_per_s": total / wall,
             "mean_ratio": checksum / total,
+            "full_scale": full_scale(),
+            "machine": machine_meta(),
         }
         _RESULTS["entries"]["endtoend_bahf_n65536"] = entry
         benchmark.extra_info.update(entry)
@@ -422,6 +426,8 @@ def record_thread_scaling(thread_counts, n_trials=None):
         "mode": _native.native_threading_mode(),
         "cpu_count": os.cpu_count(),
         "points": points,
+        "full_scale": full_scale(),
+        "machine": machine_meta(),
     }
     _RESULTS["thread_scaling"]["endtoend_bahf_n65536"] = entry
     _write_artifacts()

@@ -36,6 +36,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.utils.mathutils import check_finite_nonneg, check_probability
 from repro.utils.rng import child_seed
 
 __all__ = [
@@ -53,22 +54,6 @@ FAULT_KINDS: Tuple[str, ...] = ("kill", "hang", "transient", "delay")
 #: Tag mixed into the seed so chaos draws never collide with problem or
 #: simulated-fault draws (cf. ``_FAULT_STREAM_TAG`` in repro.resilience).
 _CHAOS_STREAM_TAG = 0xC4A05
-
-
-def _check_rate(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return float(value)
-
-
-def _check_nonneg(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not (value >= 0.0):  # also rejects NaN
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -103,13 +88,13 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         total = 0.0
         for name in ("kill_rate", "hang_rate", "transient_rate", "delay_rate"):
-            total += _check_rate(name, getattr(self, name))
+            total += check_probability(name, getattr(self, name))
         if total > 1.0 + 1e-12:
             raise ValueError(
                 f"fault rates must sum to <= 1, got {total!r}"
             )
-        _check_nonneg("hang_seconds", self.hang_seconds)
-        _check_nonneg("delay_seconds", self.delay_seconds)
+        check_finite_nonneg("hang_seconds", self.hang_seconds)
+        check_finite_nonneg("delay_seconds", self.delay_seconds)
         for name in ("min_kills", "min_hangs", "faulty_attempts"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:

@@ -113,6 +113,8 @@ def phf_prescription(
     threshold = phf_threshold(w0, alpha, n)
     keep_heavy = keep == "heavy"
     draws = np.asarray(row, dtype=np.float64)[: max(0, n - 1)].tolist()
+    if len(draws) < n - 1:
+        raise ValueError(f"need {n - 1} draws, got {len(draws)}")
     weight: List[float] = [w0]
     children: List[Optional[Tuple[int, int]]] = [None]
 

@@ -178,17 +178,21 @@ def study_trial_metrics(
     n = n_processors
     alpha = sampler.alpha
     fac = _trial_factory(key, n, seed)
-    if draws is not None and key == "phf" and phf_phase1 != "central":
+    # The draw prescription replays the central chronology only; other
+    # PHF phase-1 strategies consume draws in a machine- or
+    # randomness-dependent order, so they sample lazily and read no rows.
+    lazy = key == "phf" and phf_phase1 != "central"
+    if lazy and draws is not None:
         raise ValueError(
             "draws= requires a central PHF phase 1 (other strategies "
             "consume draws in a machine-dependent order)"
         )
-    if draws is None:
+    if draws is None and not lazy:
         draws = draw_rows(
             key, n, sampler, seed=seed, start=start,
             stop=start + n_trials, n_draws=max(1, n - 1),
         )
-    elif draws.shape[0] != n_trials:
+    elif draws is not None and draws.shape[0] != n_trials:
         raise ValueError(f"draws has {draws.shape[0]} rows for {n_trials} trials")
 
     if engine == "fastpath" and fastpath_supported(key, config, phase1=phf_phase1):
@@ -212,10 +216,7 @@ def study_trial_metrics(
 
     out = np.empty((n_trials, len(METRIC_COLUMNS)), dtype=np.float64)
     for i in range(n_trials):
-        if key == "phf" and phf_phase1 != "central":
-            # The draw prescription replays the central chronology only;
-            # other phase-1 strategies consume draws in a machine- or
-            # randomness-dependent order, so they sample lazily.
+        if lazy:
             problem: object = SyntheticProblem(
                 1.0, sampler, seed=fac.seed_for(start + i)
             )

@@ -7,32 +7,40 @@ for the same ``(trial, algorithm, N)`` cell: trial ``t``'s instance is
 fully determined by row ``t`` of a ``sampler.sample_trial_matrix`` draw
 matrix (the batched-sampler convention of :mod:`repro.core.batch`).
 
-Two delivery mechanisms, chosen per algorithm:
+Three draw conventions, each the one its batched kernel reads:
 
-* :class:`CursorProblem` hands out draws lazily from a shared cursor, in
-  bisection-call order.  This is only sound when the algorithm's draw
-  consumption order is independent of the machine configuration -- true
-  for sequential HF (``run_hf`` is a pure heap loop) and for BA-HF's
-  local HF jobs, and exactly the order the batched kernels assume.
-* the ``*_draw_tree`` builders *pre-build* the bisection tree with the
-  algorithm's analytic draw-index convention, so the DES (whose event
-  chronology -- and hence on-line draw order -- depends on machine costs
-  and topology) sees cached children everywhere and the instance stays
-  machine-independent.  BA/BA-HF use the DFS pre-order offsets of
-  :func:`repro.core.batch.ba_final_weights_batch` (heavy child at
-  ``off + 1``, light child at ``off + n1``); PHF uses the phase-ordered
-  convention of the central phase-1 strategy (breadth-first bisection
-  order, then phase-2 band order round by round).
+* **HF** consumes draws in bisection-call order.  Sequential HF is a
+  pure heap loop, so that order does not depend on the machine: the
+  instance is a :class:`CursorProblem` over ``row[0 : N - 1]``.
+* **BA** reads the DFS pre-order offsets of
+  :func:`repro.core.batch.ba_final_weights_batch`.  A node owning ``k``
+  processors at offset ``off`` bisects with ``row[off]``; its heavy child
+  (``n1 = ba_split(w1, w2, k)`` processors) sits at ``off + 1`` and its
+  light child at ``off + n1``.  **BA-HF** (Figure 4) is the same walk
+  while a piece owns at least ``λ/α + 1`` processors; a piece below that
+  threshold is an HF job, a :class:`CursorProblem` over
+  ``row[off : off + k - 1]``.  HF and BA are its two limits: threshold
+  ``∞`` (the root is the HF job) and ``2`` (only one-processor leaves,
+  which never bisect).  The offsets depend only on the tree's shape, so
+  these nodes are made on demand in whatever order the DES asks for
+  them -- its event chronology depends on machine costs and topology --
+  and the instance stays machine-independent.
+* **PHF** draws in the chronology of the idealised central phase 1
+  (breadth-first bisection order, then phase-2 bands round by round),
+  which depends on the phase: :func:`phf_draw_tree` pre-builds the tree
+  from :func:`repro.core.phf.phf_prescription`'s tables.
 
-Split arithmetic mirrors the scalar kernels bit for bit: HF-style splits
+Split arithmetic mirrors the scalar kernels bit for bit: HF-job splits
 use the *complement* rule ``(1 - a)·w`` / ``a·w`` (as in
 ``hf_final_weights``); BA/PHF-style splits use the *conserving* rule
-``w2 = a·w; w1 = w - w2`` (as in ``ba_final_weights``).
+``w2 = a·w; w1 = w - w2`` (as in ``ba_final_weights``).  Bisecting past
+the prescription raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,9 +58,6 @@ __all__ = [
     "DrawCursor",
     "CursorProblem",
     "PrescribedNode",
-    "hf_draw_problem",
-    "ba_draw_tree",
-    "bahf_draw_tree",
     "phf_draw_tree",
     "prescribed_problem",
 ]
@@ -76,7 +81,7 @@ class DrawCursor:
 
     def next(self) -> float:
         if self._pos >= self._stop:
-            raise ValueError("draw cursor exhausted: row has too few draws")
+            raise ValueError("draw cursor exhausted: bisected past the draw prescription")
         value = float(self._row[self._pos])
         self._pos += 1
         return value
@@ -87,30 +92,23 @@ class DrawCursor:
 
 
 class CursorProblem(BisectableProblem):
-    """Bisectable problem fed by a shared :class:`DrawCursor`.
+    """An HF job: each bisection takes the next draw of a shared cursor.
 
-    ``split="complement"`` produces children ``((1 - a)·w, a·w)`` (the
-    ``hf_final_weights`` arithmetic); ``split="conserve"`` produces
-    ``w2 = a·w; w1 = w - w2`` (the ``ba_final_weights`` arithmetic).
-    The base class normalises the returned pair heavier-first.
+    Sequential HF consumes draws in bisection-call order on every
+    machine, so one :class:`DrawCursor` over the job's window serves all
+    of the job's pieces.  Draw ``a`` splits weight ``w`` into
+    ``((1 - a)·w, a·w)``, the ``hf_final_weights`` arithmetic; the base
+    class normalises the pair heavier-first.
     """
 
     def __init__(
-        self,
-        weight: float,
-        cursor: DrawCursor,
-        *,
-        split: str = "conserve",
-        alpha: Optional[float] = None,
+        self, weight: float, cursor: DrawCursor, *, alpha: Optional[float] = None
     ) -> None:
         super().__init__()
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
-        if split not in ("complement", "conserve"):
-            raise ValueError(f"split must be 'complement' or 'conserve', got {split!r}")
         self._weight = float(weight)
         self._cursor = cursor
-        self._split = split
         self._alpha = None if alpha is None else check_alpha(alpha)
 
     @property
@@ -120,16 +118,62 @@ class CursorProblem(BisectableProblem):
     def _bisect_once(self) -> Tuple["CursorProblem", "CursorProblem"]:
         a = self._cursor.next()
         w = self._weight
-        if self._split == "complement":
-            w1 = (1.0 - a) * w
-            w2 = a * w
-        else:
-            w2 = a * w
-            w1 = w - w2
-        make = lambda ww: CursorProblem(  # noqa: E731 - tiny local factory
-            ww, self._cursor, split=self._split, alpha=self._alpha
+        return (
+            CursorProblem((1.0 - a) * w, self._cursor, alpha=self._alpha),
+            CursorProblem(a * w, self._cursor, alpha=self._alpha),
         )
-        return make(w1), make(w2)
+
+
+class _RowNode(BisectableProblem):
+    """A BA-phase piece: ``k >= threshold`` processors at draw offset ``off``."""
+
+    def __init__(
+        self,
+        weight: float,
+        k: int,
+        off: int,
+        row: np.ndarray,
+        threshold: float,
+        alpha: Optional[float],
+    ) -> None:
+        super().__init__()
+        self._weight = weight
+        self._k = k
+        self._off = off
+        self._row = row
+        self._threshold = threshold
+        self._alpha = None if alpha is None else check_alpha(alpha)
+
+    @property
+    def weight(self) -> float:
+        return self._weight
+
+    def _bisect_once(self) -> Tuple[BisectableProblem, BisectableProblem]:
+        w, off = self._weight, self._off
+        w2 = float(self._row[off]) * w
+        w1 = w - w2
+        if w1 < w2:
+            w1, w2 = w2, w1
+        n1, n2 = ba_split(w1, w2, self._k)
+        row, threshold, alpha = self._row, self._threshold, self._alpha
+        return (
+            _piece(w1, n1, off + 1, row, threshold, alpha),
+            _piece(w2, n2, off + n1, row, threshold, alpha),
+        )
+
+
+def _piece(
+    weight: float,
+    k: int,
+    off: int,
+    row: np.ndarray,
+    threshold: float,
+    alpha: Optional[float],
+) -> BisectableProblem:
+    """The piece of ``weight`` owning ``k`` processors at draw offset ``off``."""
+    if k < threshold:
+        return CursorProblem(weight, DrawCursor(row, off, off + k - 1), alpha=alpha)
+    return _RowNode(weight, k, off, row, threshold, alpha)
 
 
 class PrescribedNode(BisectableProblem):
@@ -168,129 +212,6 @@ class PrescribedNode(BisectableProblem):
         )
 
 
-def _conserving_split(w: float, a: float) -> Tuple[float, float]:
-    """``w2 = a·w; w1 = w - w2``, heavier first (ba_final_weights order)."""
-    w2 = a * w
-    w1 = w - w2
-    if w1 < w2:
-        w1, w2 = w2, w1
-    return w1, w2
-
-
-def hf_draw_problem(
-    n_processors: int,
-    row: np.ndarray,
-    *,
-    initial_weight: float = 1.0,
-    alpha: Optional[float] = None,
-) -> CursorProblem:
-    """HF instance: lazy cursor, complement splits, heap-order consumption."""
-    if n_processors < 1:
-        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape[0] < n_processors - 1:
-        raise ValueError(
-            f"need {n_processors - 1} draws, got {row.shape[0]}"
-        )
-    cursor = DrawCursor(row, 0, n_processors - 1)
-    return CursorProblem(initial_weight, cursor, split="complement", alpha=alpha)
-
-
-def ba_draw_tree(
-    n_processors: int,
-    row: np.ndarray,
-    *,
-    initial_weight: float = 1.0,
-    alpha: Optional[float] = None,
-) -> PrescribedNode:
-    """BA instance: pre-built tree with DFS pre-order draw offsets.
-
-    Node at offset ``off`` owning ``k`` processors consumes ``row[off]``;
-    its heavy child (kept on the same processor, ``n1`` processors) sits
-    at ``off + 1`` and its light child (shipped) at ``off + n1`` --
-    exactly :func:`repro.core.batch.ba_final_weights_batch`'s convention,
-    which matches the scalar ``ba_final_weights`` DFS.
-    """
-    if n_processors < 1:
-        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape[0] < n_processors - 1:
-        raise ValueError(f"need {n_processors - 1} draws, got {row.shape[0]}")
-    root = PrescribedNode(initial_weight, alpha=alpha)
-    stack: List[Tuple[PrescribedNode, int, int]] = [(root, n_processors, 0)]
-    while stack:
-        node, k, off = stack.pop()
-        if k == 1:
-            continue
-        w1, w2 = _conserving_split(node.weight, float(row[off]))
-        n1, n2 = ba_split(w1, w2, k)
-        c1 = PrescribedNode(w1, alpha=alpha)
-        c2 = PrescribedNode(w2, alpha=alpha)
-        node.set_children(c1, c2)
-        stack.append((c1, n1, off + 1))
-        stack.append((c2, n2, off + n1))
-    return root
-
-
-def bahf_draw_tree(
-    n_processors: int,
-    row: np.ndarray,
-    *,
-    alpha: float,
-    lam: float = 1.0,
-    initial_weight: float = 1.0,
-) -> BisectableProblem:
-    """BA-HF instance: BA tree down to the λ/α threshold, HF jobs below.
-
-    Sub-trees that BA-HF finishes with sequential HF (processor count
-    ``k < λ/α + 1``) become :class:`CursorProblem` roots over the draw
-    window ``[off, off + k - 1)`` with *complement* splits -- the local
-    ``run_hf`` is a pure heap loop, so its consumption order is
-    machine-independent and matches ``hf_final_weights`` draw for draw.
-    """
-    alpha = check_alpha(alpha)
-    if n_processors < 1:
-        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape[0] < n_processors - 1:
-        raise ValueError(f"need {n_processors - 1} draws, got {row.shape[0]}")
-    threshold = bahf_threshold(alpha, lam)
-
-    def build(weight: float, k: int, off: int) -> BisectableProblem:
-        if k < threshold:
-            cursor = DrawCursor(row, off, off + k - 1)
-            return CursorProblem(weight, cursor, split="complement", alpha=alpha)
-        node = PrescribedNode(weight, alpha=alpha)
-        stack: List[Tuple[PrescribedNode, int, int]] = [(node, k, off)]
-        while stack:
-            parent, kk, o = stack.pop()
-            w1, w2 = _conserving_split(parent.weight, float(row[o]))
-            n1, n2 = ba_split(w1, w2, kk)
-            if n1 < threshold:
-                c1: BisectableProblem = CursorProblem(
-                    w1, DrawCursor(row, o + 1, o + n1), split="complement", alpha=alpha
-                )
-            else:
-                c1 = PrescribedNode(w1, alpha=alpha)
-            if n2 < threshold:
-                c2: BisectableProblem = CursorProblem(
-                    w2,
-                    DrawCursor(row, o + n1, o + n1 + n2 - 1),
-                    split="complement",
-                    alpha=alpha,
-                )
-            else:
-                c2 = PrescribedNode(w2, alpha=alpha)
-            parent.set_children(c1, c2)
-            if isinstance(c1, PrescribedNode):
-                stack.append((c1, n1, o + 1))
-            if isinstance(c2, PrescribedNode):
-                stack.append((c2, n2, o + n1))
-        return node
-
-    return build(float(initial_weight), n_processors, 0)
-
-
 def phf_draw_tree(
     n_processors: int,
     row: np.ndarray,
@@ -313,12 +234,6 @@ def phf_draw_tree(
     alpha = check_alpha(alpha)
     if keep not in ("heavy", "light"):
         raise ValueError(f"keep must be 'heavy' or 'light', got {keep!r}")
-    if n_processors < 1:
-        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape[0] < n_processors - 1:
-        raise ValueError(f"need {n_processors - 1} draws, got {row.shape[0]}")
-
     weight, children = phf_prescription(
         n_processors, row, alpha=alpha, keep=keep, initial_weight=initial_weight
     )
@@ -345,25 +260,25 @@ def prescribed_problem(
     accepts (``hf``/``phf``/``ba``/``bahf``, ``"BA-HF"``, ...).
     ``alpha`` is required for ``phf`` and ``bahf`` (it shapes the
     prescription); for ``hf``/``ba`` it is only declared on the instance.
+    ``row`` must hold at least ``n_processors - 1`` draws.
     """
     key = normalize_algorithm(algorithm)
     initial_weight = check_initial_weight(initial_weight)
+    if n_processors < 1:
+        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
+    row = np.asarray(row, dtype=np.float64)
+    if row.shape[0] < n_processors - 1:
+        raise ValueError(f"need {n_processors - 1} draws, got {row.shape[0]}")
+    if key in ("bahf", "phf") and alpha is None:
+        raise ValueError(f"{key} prescription needs alpha")
+    if key == "phf":
+        return phf_draw_tree(
+            n_processors, row, alpha=alpha, keep=keep, initial_weight=initial_weight
+        )
     if key == "hf":
-        return hf_draw_problem(
-            n_processors, row, initial_weight=initial_weight, alpha=alpha
-        )
-    if key == "ba":
-        return ba_draw_tree(
-            n_processors, row, initial_weight=initial_weight, alpha=alpha
-        )
-    if key == "bahf":
-        if alpha is None:
-            raise ValueError("bahf prescription needs alpha")
-        return bahf_draw_tree(
-            n_processors, row, alpha=alpha, lam=lam, initial_weight=initial_weight
-        )
-    if alpha is None:
-        raise ValueError("phf prescription needs alpha")
-    return phf_draw_tree(
-        n_processors, row, alpha=alpha, keep=keep, initial_weight=initial_weight
-    )
+        threshold = math.inf
+    elif key == "ba":
+        threshold = 2.0
+    else:
+        threshold = bahf_threshold(alpha, lam)
+    return _piece(initial_weight, n_processors, 0, row, threshold, alpha)

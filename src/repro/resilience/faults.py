@@ -39,6 +39,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.utils.mathutils import check_finite_nonneg, check_probability
 from repro.utils.rng import child_seed, split_seed
 
 __all__ = ["FaultConfig", "FaultPlan", "fault_plan_for"]
@@ -49,22 +50,6 @@ _FAULT_STREAM_TAG = 0xFA017
 _CHANNEL_STREAM = 0x5E2D
 
 _NEVER = math.inf
-
-
-def _check_rate(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value) or value < 0.0 or value > 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return float(value)
-
-
-def _check_nonneg(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -92,13 +77,13 @@ class FaultConfig:
     protect_origin: bool = True
 
     def __post_init__(self) -> None:
-        _check_rate("crash_rate", self.crash_rate)
-        _check_rate("straggler_rate", self.straggler_rate)
-        _check_rate("msg_loss_rate", self.msg_loss_rate)
-        _check_rate("msg_delay_rate", self.msg_delay_rate)
-        _check_nonneg("msg_delay", self.msg_delay)
-        _check_nonneg("crash_window", self.crash_window)
-        factor = _check_nonneg("straggler_factor", self.straggler_factor)
+        check_probability("crash_rate", self.crash_rate)
+        check_probability("straggler_rate", self.straggler_rate)
+        check_probability("msg_loss_rate", self.msg_loss_rate)
+        check_probability("msg_delay_rate", self.msg_delay_rate)
+        check_finite_nonneg("msg_delay", self.msg_delay)
+        check_finite_nonneg("crash_window", self.crash_window)
+        factor = check_finite_nonneg("straggler_factor", self.straggler_factor)
         if factor < 1.0:
             raise ValueError(
                 f"straggler_factor must be >= 1 (a slowdown), got {factor!r}"
@@ -156,9 +141,9 @@ class FaultPlan:
         for t in self.crash_time:
             if math.isnan(t) or t < 0.0:
                 raise ValueError(f"crash times must be >= 0, got {t!r}")
-        _check_rate("msg_loss_rate", self.msg_loss_rate)
-        _check_rate("msg_delay_rate", self.msg_delay_rate)
-        _check_nonneg("msg_delay", self.msg_delay)
+        check_probability("msg_loss_rate", self.msg_loss_rate)
+        check_probability("msg_delay_rate", self.msg_delay_rate)
+        check_finite_nonneg("msg_delay", self.msg_delay)
 
     # -- constructors ---------------------------------------------------
 

@@ -207,9 +207,10 @@ def fastpath_hf(
     config = config or MachineConfig()
     _require_supported("hf", config)
     n = n_processors
-    draws = _as_draw_matrix(alpha_draws, max(0, n - 1))
-    n_trials = draws.shape[0]
     w0 = check_initial_weight(initial_weight)
+    # The batch kernel validates n and the draws; the trial count is its row count.
+    weights = hf_final_weights_batch(w0, n, alpha_draws, n_threads=n_threads)
+    n_trials = weights.shape[0]
     topo = config.topology(n) if config.topology else None
 
     # Timing is trial-independent: one scalar chain, replayed in the
@@ -228,7 +229,6 @@ def fastpath_hf(
     # sum(work_time) = 0 + work_p1 + 0 + ... (adding 0.0 is exact)
     util = work_p1 / (n * makespan) if makespan > 0 else 0.0
 
-    weights = hf_final_weights_batch(w0, n, draws, n_threads=n_threads)
     ratio = weights.max(axis=1) / (w0 / n)
     return FastpathResult(
         algorithm="hf",

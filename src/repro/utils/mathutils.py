@@ -11,6 +11,8 @@ __all__ = [
     "next_power_of_two",
     "feq",
     "is_zero",
+    "check_probability",
+    "check_finite_nonneg",
 ]
 
 #: Default relative tolerance for float comparisons: weights and ratios
@@ -75,3 +77,21 @@ def is_zero(x: float, *, abs_tol: float = DEFAULT_ABS_TOL) -> bool:
     absolute-threshold test (``abs_tol=0.0`` recovers exact ``== 0``).
     """
     return abs(x) <= abs_tol
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_probability(name: str, value: float) -> float:
+    """Validate a probability: a real number in ``[0, 1]``.  Returns a float."""
+    if not (_is_real(value) and 0.0 <= value <= 1.0):  # also rejects NaN
+        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+    return float(value)
+
+
+def check_finite_nonneg(name: str, value: float) -> float:
+    """Validate a duration or factor: finite and ``>= 0``.  Returns a float."""
+    if not (_is_real(value) and 0.0 <= value < math.inf):  # also rejects NaN
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return float(value)

@@ -331,6 +331,19 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=f"alpha draws must be finite, got {bad}"):
             calls[entry]()
 
+    @pytest.mark.parametrize("native", [True, False])
+    def test_fastpath_hf_checks_its_draws_once(self, native, monkeypatch):
+        if not native:
+            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        calls = []
+        real = batch.check_finite_draws
+        monkeypatch.setattr(
+            batch, "check_finite_draws", lambda d: calls.append(d.shape) or real(d)
+        )
+        result = fastpath_hf(8, np.full((3, 9), 0.3))
+        assert result.n_trials == 3
+        assert calls == [(3, 7)]
+
     def test_nonfinite_draws_past_the_used_columns_ignored(self):
         draws = np.full((2, 9), 0.3)
         draws[:, 7:] = np.nan

@@ -70,6 +70,16 @@ class TestChaosConfig:
         with pytest.raises(ValueError, match="sum"):
             ChaosConfig(kill_rate=0.6, hang_rate=0.6)
 
+    @pytest.mark.parametrize("name", ["hang_seconds", "delay_seconds"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0, "1", True])
+    def test_durations_must_be_finite_and_non_negative(self, name, bad):
+        # An infinite hang used to pass and then overflow time.sleep in
+        # the injector, turning the hang into a generic failed attempt.
+        with pytest.raises(
+            ValueError, match=f"^{name} must be finite and non-negative, got "
+        ):
+            ChaosConfig(**{name: bad})
+
     def test_caps_must_cover_floors(self):
         with pytest.raises(ValueError, match="max_kills"):
             ChaosConfig(min_kills=3, max_kills=1)

@@ -41,6 +41,17 @@ class TestFaultConfig:
         with pytest.raises(ValueError, match="straggler_rate"):
             FaultConfig(straggler_rate=float("nan"))
 
+    def test_one_message_per_validator(self):
+        for bad in (float("inf"), "0.1", True):
+            with pytest.raises(
+                ValueError, match=r"^crash_rate must be a probability in \[0, 1\], got "
+            ):
+                FaultConfig(crash_rate=bad)
+            with pytest.raises(
+                ValueError, match="^msg_delay must be finite and non-negative, got "
+            ):
+                FaultConfig(msg_delay=bad)
+
     def test_straggler_factor_is_a_slowdown(self):
         with pytest.raises(ValueError, match="straggler_factor"):
             FaultConfig(straggler_factor=0.5)

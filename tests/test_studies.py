@@ -184,3 +184,27 @@ class TestRuntimeStudy:
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             run_runtime_study(n_values=(8,), n_repeats=0)
+
+
+@pytest.mark.parametrize("phase1", ["steal", "ba_prime"])
+def test_lazy_phf_phase1_samples_no_draw_matrix(phase1, monkeypatch):
+    # Non-central PHF phase 1 builds its problems from per-trial seeds,
+    # so the study must not sample a draw matrix it never reads.
+    import numpy as np
+
+    from repro.experiments import runtime_study
+    from repro.problems import UniformAlpha
+
+    def study():
+        return runtime_study.study_trial_metrics(
+            "phf", 16, UniformAlpha(0.1, 0.5), n_trials=3, seed=11, start=2,
+            phf_phase1=phase1, engine="des",
+        )
+
+    expected = study()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("draw_rows called for a lazily sampled study")
+
+    monkeypatch.setattr(runtime_study, "draw_rows", refuse)
+    assert np.array_equal(study(), expected)
