@@ -52,24 +52,6 @@ N_TRIALS = 1000  # the acceptance criterion is per 1000-trial batch
 SCALAR_SAMPLE = 25
 
 
-class _Stream:
-    """Scalar draw callable over one precomputed row (with bulk take)."""
-
-    def __init__(self, row):
-        self.row = np.asarray(row, dtype=float)
-        self.i = 0
-
-    def __call__(self):
-        value = float(self.row[self.i])
-        self.i += 1
-        return value
-
-    def take(self, k):
-        out = self.row[self.i : self.i + k]
-        self.i += k
-        return out
-
-
 @pytest.fixture(scope="module")
 def draws():
     sampler = UniformAlpha(0.01, 0.5)
@@ -175,7 +157,7 @@ class TestBatchedKernelThroughput:
         batch_seconds = time.perf_counter() - start
         rows = iter(draws)
         scalar = _time_scalar(
-            lambda: ba_final_weights(1.0, N_PROCESSORS, _Stream(next(rows)))
+            lambda: ba_final_weights(1.0, N_PROCESSORS, next(rows))
         )
         entry = _record(benchmark, "ba", batch_seconds, scalar)
         assert out.shape == (N_TRIALS, N_PROCESSORS)
@@ -195,7 +177,7 @@ class TestBatchedKernelThroughput:
         rows = iter(draws)
         scalar = _time_scalar(
             lambda: bahf_final_weights(
-                1.0, N_PROCESSORS, _Stream(next(rows)), alpha=alpha, lam=1.0
+                1.0, N_PROCESSORS, next(rows), alpha=alpha, lam=1.0
             )
         )
         entry = _record(benchmark, "bahf", batch_seconds, scalar)

@@ -47,20 +47,8 @@ class TestHFThroughput:
 
     def test_ba_fast_path_n4096(self, benchmark):
         sampler = UniformAlpha(0.1, 0.5)
-        rng = np.random.default_rng(1)
-        block = sampler.sample_many(rng, 8192)
-        idx = [0]
-
-        def draw():
-            v = block[idx[0] % block.size]
-            idx[0] += 1
-            return float(v)
-
-        def run():
-            idx[0] = 0
-            return ba_final_weights(1.0, 4096, draw)
-
-        out = benchmark(run)
+        row = sampler.sample_many(np.random.default_rng(1), 4095)
+        out = benchmark(ba_final_weights, 1.0, 4096, row)
         assert out.sum() == pytest.approx(1.0)
 
 

@@ -317,7 +317,6 @@ class TestEndToEnd:
                     n_trials=n,
                     seed=SEED,
                     start=done,
-                    use_batch=True,
                 )
                 checksum += float(ratios.sum())
                 done += n
@@ -387,7 +386,6 @@ def record_thread_scaling(thread_counts, n_trials=None):
                 n_trials=n,
                 seed=SEED,
                 start=done,
-                use_batch=True,
                 n_threads=n_threads,
             )
             checksum += float(ratios.sum())

@@ -12,7 +12,7 @@ is silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 __all__ = ["RunReport"]
@@ -88,22 +88,4 @@ class RunReport:
         return "; ".join(parts)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "n_chunks": self.n_chunks,
-            "from_journal": self.from_journal,
-            "computed": self.computed,
-            "in_pool": self.in_pool,
-            "in_parent": self.in_parent,
-            "harvested": self.harvested,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degraded_to_parent": self.degraded_to_parent,
-            "cancelled": self.cancelled,
-            "backoff_seconds": self.backoff_seconds,
-            "quarantined": list(self.quarantined),
-            "errors": dict(self.errors),
-            "worker_pids": list(self.worker_pids),
-            "chaos": dict(self.chaos) if self.chaos is not None else None,
-            "accounted": self.accounted,
-        }
+        return {**asdict(self), "accounted": self.accounted}

@@ -25,10 +25,11 @@ tree can be deeper than CPython's default recursion limit
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.hf import _hf_negated_heap, _used_draws
 from repro.core.partition import Partition
 from repro.core.problem import BisectableProblem, check_initial_weight
 from repro.core.tree import BisectionNode, BisectionTree
@@ -193,28 +194,54 @@ def _run_ba_impl(
 def ba_final_weights(
     initial_weight: float,
     n_processors: int,
-    draw_alpha: Callable[[], float],
-    *,
-    skip_threshold: Optional[float] = None,
+    alpha_draws: Sequence[float] | np.ndarray,
 ) -> np.ndarray:
     """Float-only BA for the stochastic model of Section 4.
 
-    ``draw_alpha()`` is called once per bisection (pre-order) and must
-    return the lighter-child share ``α̂ ∈ (0, 1/2]``.  Returns the final
-    weights (one per processor unless ``skip_threshold`` truncates).
+    ``alpha_draws`` is one trial's draw row: the lighter-child shares
+    ``α̂ ∈ (0, 1/2]`` at BA's DFS pre-order offsets.  A node at offset
+    ``o`` uses ``row[o]``; its heavier child starts at ``o + 1``, the
+    lighter one (``n2`` processors) at ``o + n1``.  Exactly
+    ``n_processors - 1`` draws are used -- the row layout of
+    :func:`~repro.experiments.stochastic.draw_rows` and of the batched
+    kernels.  Returns the ``n_processors`` final weights.
+    """
+    return _ba_walk(initial_weight, n_processors, alpha_draws, 2.0)
+
+
+def _ba_walk(
+    initial_weight: float,
+    n_processors: int,
+    alpha_draws: Sequence[float] | np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """BA above ``threshold`` processors, HF below it, on one draw row.
+
+    Checks the row as :func:`~repro.core.hf.hf_final_weights` does, then
+    pops nodes in pre-order, heavier child first, so the ``k``-th draw
+    read is ``row[k]`` -- the DFS offsets of the batched walk.  A piece
+    with ``m < threshold`` processors is an HF job over the next
+    ``m - 1`` draws.  ``threshold`` is ``2`` for BA (no HF job) and
+    :func:`repro.core.bahf.bahf_threshold` for BA-HF.
     """
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    check_initial_weight(initial_weight)
+    w0 = check_initial_weight(initial_weight)
+    draws = _used_draws(n_processors, alpha_draws)
     out: List[float] = []
-    stack: List[Tuple[float, int]] = [(float(initial_weight), n_processors)]
+    k = 0
+    stack: List[Tuple[float, int]] = [(w0, n_processors)]
     while stack:
         w, n = stack.pop()
-        if n == 1 or (skip_threshold is not None and w <= skip_threshold):
-            out.append(w)
+        if n < threshold:
+            if n == 1:
+                out.append(w)
+            else:
+                out.extend(-x for x in _hf_negated_heap(w, draws[k : k + n - 1]))
+                k += n - 1
             continue
-        a = draw_alpha()
-        w2 = a * w
+        w2 = draws[k] * w
+        k += 1
         w1 = w - w2
         if w1 < w2:  # draw > 1/2 would violate the convention; normalise
             w1, w2 = w2, w1

@@ -19,18 +19,14 @@ Unlike BA, BA-HF needs to *know* α (to evaluate the threshold).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.ba import ba_split
-from repro.core.hf import hf_final_weights, run_hf
+from repro.core.ba import _ba_walk, ba_split
+from repro.core.hf import run_hf
 from repro.core.partition import Partition
-from repro.core.problem import (
-    BisectableProblem,
-    check_alpha,
-    check_initial_weight,
-)
+from repro.core.problem import BisectableProblem, check_alpha
 from repro.core.tree import BisectionNode, BisectionTree
 
 __all__ = ["bahf_threshold", "run_bahf", "bahf_final_weights"]
@@ -141,45 +137,20 @@ def _reindex_depths(node: BisectionNode) -> None:
 def bahf_final_weights(
     initial_weight: float,
     n_processors: int,
-    draw_alpha: Callable[[], float],
+    alpha_draws: Sequence[float] | np.ndarray,
     *,
     alpha: float,
     lam: float = 1.0,
 ) -> np.ndarray:
     """Float-only BA-HF for the stochastic model of Section 4.
 
-    ``draw_alpha()`` supplies one i.i.d. ``α̂`` per bisection; ``alpha`` is
-    the *guaranteed* lower bound used only for the switch-over threshold.
-    Returns the ``n_processors`` final weights.
+    ``alpha_draws`` is one trial's draw row at BA's DFS pre-order offsets
+    (see :func:`~repro.core.ba.ba_final_weights`): a BA-phase node at
+    offset ``o`` uses ``row[o]``, and a piece below the switch-over
+    threshold with ``m`` processors runs HF on ``row[o : o + m - 1]``.
+    ``alpha`` is the *guaranteed* lower bound used only for the
+    threshold.  Returns the ``n_processors`` final weights.
     """
-    alpha = check_alpha(alpha)
-    if n_processors < 1:
-        raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    check_initial_weight(initial_weight)
-    threshold = bahf_threshold(alpha, lam)
-    # DrawStream-like callables expose a bulk ``take`` that avoids
-    # per-draw float boxing; plain callables keep working.
-    take = getattr(draw_alpha, "take", None)
-    out: List[float] = []
-    stack: List[Tuple[float, int]] = [(float(initial_weight), n_processors)]
-    while stack:
-        w, n = stack.pop()
-        if n < threshold:
-            if n == 1:
-                out.append(w)
-            else:
-                if take is not None:
-                    draws = take(n - 1)
-                else:
-                    draws = np.array([draw_alpha() for _ in range(n - 1)])
-                out.extend(hf_final_weights(w, n, draws).tolist())
-            continue
-        a = draw_alpha()
-        w2 = a * w
-        w1 = w - w2
-        if w1 < w2:
-            w1, w2 = w2, w1
-        n1, n2 = ba_split(w1, w2, n)
-        stack.append((w2, n2))
-        stack.append((w1, n1))
-    return np.asarray(out, dtype=np.float64)
+    return _ba_walk(
+        initial_weight, n_processors, alpha_draws, bahf_threshold(alpha, lam)
+    )

@@ -32,7 +32,7 @@ one recursion level) per vectorized NumPy step:
   *analytically* during the level-order sweep (root at offset ``o`` uses
   draw ``o``; its heavier child starts at ``o + 1``, the lighter one at
   ``o + n1``).  Every leaf weight is therefore bit-identical to the
-  scalar recursion fed by the same draw stream, and lands in its
+  scalar walk on the same row, and lands in its
   processor's column (the heavier child keeps the parent's first
   processor, the lighter one moves ``n1`` places on).  The same walk,
   given an optional machine clock, also returns each trial's makespan
@@ -411,10 +411,10 @@ def ba_final_weights_batch(
     method: str = "auto",
     n_threads: Optional[int] = None,
 ) -> np.ndarray:
-    """Batched :func:`~repro.core.ba.ba_final_weights` (no skip threshold).
+    """Batched :func:`~repro.core.ba.ba_final_weights`.
 
-    Row ``t`` of ``alpha_draws`` supplies the draws the scalar recursion
-    would consume in DFS pre-order; exactly ``n_processors - 1`` are used
+    Row ``t`` of ``alpha_draws`` is the row the scalar walk reads at its
+    DFS pre-order offsets; exactly ``n_processors - 1`` are used
     per trial, and every leaf weight is bit-identical to the scalar path.
     Returns the ``(n_trials, n_processors)`` final weights (per-row order
     unspecified; the NumPy walk gives processor order).

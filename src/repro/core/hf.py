@@ -27,7 +27,7 @@ Two implementations are provided:
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,6 +111,18 @@ def hf_final_weights(
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
     w0 = check_initial_weight(initial_weight)
+    draws = _used_draws(n_processors, alpha_draws)
+    return -np.asarray(_hf_negated_heap(w0, draws), dtype=np.float64)
+
+
+def _used_draws(
+    n_processors: int, alpha_draws: Sequence[float] | np.ndarray
+) -> List[float]:
+    """The first ``n_processors - 1`` draws of a row, checked finite.
+
+    Every scalar oracle (HF, BA, BA-HF) uses exactly that many; values
+    past them are ignored, like the batched kernels' extra columns.
+    """
     draws = np.asarray(alpha_draws, dtype=np.float64)
     if draws.size < n_processors - 1:
         raise ValueError(
@@ -118,7 +130,7 @@ def hf_final_weights(
         )
     draws = draws[: n_processors - 1]
     check_finite_draws(draws)
-    return -np.asarray(_hf_negated_heap(w0, draws.tolist()), dtype=np.float64)
+    return draws.tolist()
 
 
 def _hf_negated_heap(w0: float, draws: List[float]) -> List[float]:

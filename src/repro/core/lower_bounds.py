@@ -90,11 +90,9 @@ def _run(algorithm: str, alpha: float, n: int, draws: np.ndarray, lam: float) ->
     if key in ("hf", "phf"):
         weights = hf_final_weights(1.0, n, draws)
     elif key == "ba":
-        it = iter(draws.tolist())
-        weights = ba_final_weights(1.0, n, lambda: next(it))
+        weights = ba_final_weights(1.0, n, draws)
     else:
-        it = iter(draws.tolist())
-        weights = bahf_final_weights(1.0, n, lambda: next(it), alpha=alpha, lam=lam)
+        weights = bahf_final_weights(1.0, n, draws, alpha=alpha, lam=lam)
     return float(weights.max() * n)
 
 

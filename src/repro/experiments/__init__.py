@@ -25,10 +25,8 @@ from repro.experiments.config import (
     full_scale_requested,
 )
 from repro.experiments.stochastic import (
-    DrawStream,
     normalize_algorithm,
     sample_ratios,
-    trial_ratio,
     trial_ratios,
 )
 from repro.experiments.runner import SweepRecord, SweepResult, chunk_bounds, run_sweep
@@ -137,9 +135,7 @@ __all__ = [
     "PAPER_N_VALUES",
     "StochasticConfig",
     "full_scale_requested",
-    "DrawStream",
     "sample_ratios",
-    "trial_ratio",
     "trial_ratios",
     "normalize_algorithm",
     "chunk_bounds",

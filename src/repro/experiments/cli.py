@@ -9,9 +9,11 @@ Usage (installed as ``repro-experiments``, or ``python -m repro.experiments``):
     repro-experiments variance [--trials T] [--max-n N] [--jobs J]
     repro-experiments intervals [--trials T] [--max-n N] [--jobs J]
     repro-experiments nonpow2  [--trials T] [--jobs J]
-    repro-experiments runtime  [--max-n N]
+    repro-experiments runtime  [--max-n N] [--jobs J] [--engine E]
     repro-experiments fault    [--trials T] [--max-n N] [--fault-rates R,R,..]
     repro-experiments all      [--trials T] [--max-n N] [--jobs J]
+
+``FLAG_READERS`` lists which experiments read each flag.
 
 ``--full`` (or ``REPRO_FULL=1``) selects the paper-scale grid
 (N up to 2^20, 1000 trials) -- expect hours of compute in pure Python.
@@ -29,9 +31,9 @@ supervised executor must still produce bit-identical results.  Off by
 default; only for testing the harness itself.  ``--deadline SECONDS``
 cancels a table1/figure5 sweep gracefully.
 
-Any other experiment given ``--journal``/``--resume`` or
-``--chaos-profile``/``--deadline`` is a usage error (exit 2), never a
-silently ignored flag.
+An experiment given a flag it does not read (``--journal`` on
+``runtime``, ``--backend`` on ``worstcase``, ...) is a usage error
+(exit 2), never a silently ignored flag.
 """
 
 from __future__ import annotations
@@ -82,10 +84,36 @@ from repro.experiments.worstcase_study import (
 
 __all__ = ["main", "build_parser"]
 
-#: Experiments that honour ``--journal``/``--resume``.
-JOURNAL_EXPERIMENTS = ("table1", "figure5", "fault")
-#: Experiments that honour ``--chaos-profile``/``--deadline``.
-SUPERVISED_EXPERIMENTS = ("table1", "figure5")
+_GRID_STUDIES = ("table1", "figure5", "lambda", "variance", "intervals")
+_SIZED = _GRID_STUDIES + (
+    "nonpow2", "fault", "families", "distributions", "report", "all",
+)
+
+#: Flag (argparse ``dest``) groups -> the experiments whose branch of
+#: :func:`main` reads them.  Any other experiment given one of them at a
+#: value other than its default is a usage error (exit 2).  ``all`` runs
+#: every experiment but ``report`` and accepts a flag one of them reads,
+#: except the journal and chaos flags: an ``all`` run would have every
+#: experiment fight over one journal file.  Every experiment reads
+#: ``--seed``.
+FLAG_READERS = {
+    ("journal", "resume"): ("table1", "figure5", "fault"),
+    ("chaos_profile", "deadline"): ("table1", "figure5"),
+    ("chaos_seed",): ("table1", "figure5"),
+    ("trials",): _SIZED,
+    ("full",): _SIZED,
+    ("max_n",): _GRID_STUDIES
+    + ("runtime", "fault", "topology", "distributions", "report", "all"),
+    ("jobs",): _GRID_STUDIES
+    + ("nonpow2", "runtime", "fault", "topology", "distributions", "report", "all"),
+    ("backend",): ("table1", "figure5", "runtime", "topology", "all"),
+    ("engine",): ("runtime", "topology", "all"),
+    ("csv",): ("table1", "figure5", "fault", "all"),
+    ("json",): ("table1", "figure5", "all"),
+    ("out",): ("report",),
+    ("fault_rates",): ("fault", "all"),
+    ("alpha",): ("fault", "all"),
+}
 
 
 def _parse_fault_rates(text: str) -> tuple:
@@ -297,18 +325,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return journal_main(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.journal or args.resume) and args.experiment not in JOURNAL_EXPERIMENTS:
-        parser.error(
-            f"--journal/--resume apply only to {', '.join(JOURNAL_EXPERIMENTS)}"
-            f", not {args.experiment}"
-        )
-    if (
-        args.chaos_profile is not None or args.deadline is not None
-    ) and args.experiment not in SUPERVISED_EXPERIMENTS:
-        parser.error(
-            "--chaos-profile/--deadline apply only to "
-            f"{', '.join(SUPERVISED_EXPERIMENTS)}, not {args.experiment}"
-        )
+    for dests, readers in FLAG_READERS.items():
+        if args.experiment in readers:
+            continue
+        if any(getattr(args, d) != parser.get_default(d) for d in dests):
+            flags = "/".join("--" + d.replace("_", "-") for d in dests)
+            verb = "apply" if len(dests) > 1 else "applies"
+            parser.error(
+                f"{flags} {verb} only to {', '.join(readers)}, "
+                f"not {args.experiment}"
+            )
     if args.experiment == "report":
         from repro.experiments.report import generate_report
 
@@ -345,7 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # command), so an operator's `kill` never wastes finished work.
     supervise_kw = {}
     run_report = None
-    if args.experiment in SUPERVISED_EXPERIMENTS and (
+    if args.experiment in ("table1", "figure5") and (
         args.chaos_profile is not None or args.deadline is not None or journal_kw
     ):
         from repro.chaos import CHAOS_PROFILES, ChaosSpec, RunReport

@@ -51,24 +51,6 @@ class AlphaSampler(ABC):
         """``size`` i.i.d. draws (subclasses override with vector code)."""
         return np.array([self.sample(rng) for _ in range(size)])
 
-    def sample_block(
-        self, rng: np.random.Generator, shape: Tuple[int, ...]
-    ) -> np.ndarray:
-        """Draws of arbitrary ``shape`` from a single stream (row-major).
-
-        ``sample_block(rng, (t, k))[i, j]`` equals the ``(i*k + j)``-th
-        sequential draw of ``rng`` -- i.e. a reshaped :meth:`sample_many`.
-        Use when one stream feeds a whole batch; use
-        :meth:`sample_trial_matrix` when each row must come from its own
-        per-trial generator.
-        """
-        size = 1
-        for dim in shape:
-            if dim < 0:
-                raise ValueError(f"shape must be non-negative, got {shape}")
-            size *= dim
-        return self.sample_many(rng, size).reshape(shape)
-
     def sample_trial_matrix(
         self, rngs: Sequence[np.random.Generator], n_draws: int
     ) -> np.ndarray:

@@ -14,7 +14,7 @@ needed; the report is dumped (atomically) on graceful drain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 __all__ = ["ServeReport"]
@@ -115,32 +115,7 @@ class ServeReport:
         return "; ".join(parts)
 
     def as_dict(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "received": self.received,
-            "completed": self.completed,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "expired": self.expired,
-            "failed": self.failed,
-            "invalid": self.invalid,
-            "draining_rejected": self.draining_rejected,
-            "batches": self.batches,
-            "batch_requests": self.batch_requests,
-            "batch_rows": self.batch_rows,
-            "max_batch_requests": self.max_batch_requests,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "breaker_trips": self.breaker_trips,
-            "breaker_recoveries": self.breaker_recoveries,
-            "worker_deaths": self.worker_deaths,
-            "exec_retries": self.exec_retries,
-            "exec_timeouts": self.exec_timeouts,
-            "quarantined_batches": self.quarantined_batches,
-            "chaos_batches": self.chaos_batches,
-            "drained": self.drained,
-            "last_errors": list(self.last_errors),
-            "accounted": self.accounted,
-        }
+        out: Dict[str, Any] = {**asdict(self), "accounted": self.accounted}
         if extra:
             out.update(extra)
         return out

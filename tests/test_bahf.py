@@ -158,22 +158,23 @@ class TestBAHFFinalWeights:
         p = SyntheticProblem(1.0, FixedAlpha(a), seed=0)
         obj = sorted(run_bahf(p, n, lam=1.0).weights)
         fast = sorted(
-            bahf_final_weights(1.0, n, lambda: a, alpha=a, lam=1.0)
+            bahf_final_weights(1.0, n, np.full(n - 1, a), alpha=a, lam=1.0)
         )
         assert fast == pytest.approx(obj)
 
     def test_weight_conservation(self):
         rng = np.random.default_rng(6)
         w = bahf_final_weights(
-            3.0, 70, lambda: float(rng.uniform(0.1, 0.5)), alpha=0.1, lam=1.0
+            3.0, 70, rng.uniform(0.1, 0.5, size=69), alpha=0.1, lam=1.0
         )
         assert w.sum() == pytest.approx(3.0)
         assert len(w) == 70
 
     def test_rejects_bad_inputs(self):
+        row = np.full(3, 0.3)
         with pytest.raises(ValueError):
-            bahf_final_weights(0.0, 4, lambda: 0.3, alpha=0.3)
+            bahf_final_weights(0.0, 4, row, alpha=0.3)
         with pytest.raises(ValueError):
-            bahf_final_weights(1.0, 0, lambda: 0.3, alpha=0.3)
+            bahf_final_weights(1.0, 0, row, alpha=0.3)
         with pytest.raises(ValueError):
-            bahf_final_weights(1.0, 4, lambda: 0.3, alpha=0.9)
+            bahf_final_weights(1.0, 4, row, alpha=0.9)

@@ -24,7 +24,7 @@ from repro.core.batch import (
     numpy_hf_method,
 )
 from repro.core.hf import hf_final_weights
-from repro.experiments.stochastic import trial_ratios
+from repro.experiments.stochastic import draw_rows, trial_ratios
 from repro.problems.samplers import (
     BetaAlpha,
     DiscreteAlpha,
@@ -55,24 +55,6 @@ HF_METHODS = ["frontier", "heap"] + (["native"] if native_available() else [])
 BA_METHODS = ["frontier"] + (["native"] if native_available() else [])
 
 
-class _Stream:
-    """Scalar draw callable over one precomputed row (with bulk take)."""
-
-    def __init__(self, row):
-        self.row = np.asarray(row, dtype=float)
-        self.i = 0
-
-    def __call__(self):
-        value = float(self.row[self.i])
-        self.i += 1
-        return value
-
-    def take(self, k):
-        out = self.row[self.i : self.i + k]
-        self.i += k
-        return out
-
-
 def _draw_matrix(sampler, n, n_trials=N_TRIALS, seed=1234):
     factory = SeedSequenceFactory(seed)
     rngs = [factory.generator_for(t) for t in range(n_trials)]
@@ -100,7 +82,7 @@ class TestParity:
 
     def test_ba_matches_scalar(self, sampler, n):
         draws = _draw_matrix(sampler, n)
-        refs = [ba_final_weights(1.0, n, _Stream(row)) for row in draws]
+        refs = [ba_final_weights(1.0, n, row) for row in draws]
         for method in BA_METHODS if n > 1 else ["auto"]:
             batch = ba_final_weights_batch(1.0, n, draws, method=method)
             _assert_rows_match(batch, refs)
@@ -109,7 +91,7 @@ class TestParity:
     def test_bahf_matches_scalar(self, sampler, n, lam):
         draws = _draw_matrix(sampler, n)
         refs = [
-            bahf_final_weights(1.0, n, _Stream(row), alpha=sampler.alpha, lam=lam)
+            bahf_final_weights(1.0, n, row, alpha=sampler.alpha, lam=lam)
             for row in draws
         ]
         for method in BA_METHODS if n > 1 else ["auto"]:
@@ -284,8 +266,8 @@ class TestInputValidation:
         row = draws[0]
         calls = {
             "hf": lambda: hf_final_weights(bad, 8, row),
-            "ba": lambda: ba_final_weights(bad, 8, _Stream(row)),
-            "bahf": lambda: bahf_final_weights(bad, 8, _Stream(row), alpha=0.3),
+            "ba": lambda: ba_final_weights(bad, 8, row),
+            "bahf": lambda: bahf_final_weights(bad, 8, row, alpha=0.3),
             "hf_batch": lambda: hf_final_weights_batch(bad, 8, draws),
             "hf_batch_vector": lambda: hf_final_weights_batch(
                 np.array([1.0, bad]), 8, draws
@@ -413,12 +395,18 @@ class TestTrialRatios:
     @pytest.mark.parametrize("algorithm", ["hf", "ba", "bahf"])
     def test_batch_equals_scalar_path(self, algorithm):
         sampler = UniformAlpha(0.01, 0.5)
-        batch = trial_ratios(
-            algorithm, 64, sampler, n_trials=20, seed=11, use_batch=True
+        batch = trial_ratios(algorithm, 64, sampler, n_trials=20, seed=11)
+        rows = draw_rows(
+            algorithm, 64, sampler, seed=11, start=0, stop=20, n_draws=63
         )
-        scalar = trial_ratios(
-            algorithm, 64, sampler, n_trials=20, seed=11, use_batch=False
-        )
+        oracle = {
+            "hf": lambda row: hf_final_weights(1.0, 64, row),
+            "ba": lambda row: ba_final_weights(1.0, 64, row),
+            "bahf": lambda row: bahf_final_weights(
+                1.0, 64, row, alpha=sampler.alpha
+            ),
+        }[algorithm]
+        scalar = np.array([oracle(row).max() * 64 for row in rows])
         np.testing.assert_array_equal(batch, scalar)
 
     @pytest.mark.parametrize("algorithm", ["hf", "ba", "bahf"])

@@ -139,6 +139,60 @@ class TestCompatibilityWarnings:
         ) == []
 
 
+def native_artifact(ba_machine, bahf_machine, rate=100.0):
+    """BENCH_native.json's layout: a machine block in each entry."""
+    return {
+        "schema_version": 1,
+        "kernels": {
+            "ba": {"native_trials_per_s": rate, "machine": ba_machine},
+            "bahf": {"native_trials_per_s": rate, "machine": bahf_machine},
+        },
+    }
+
+
+class TestPerEntryMachines:
+    def test_same_entry_machines_quiet(self):
+        a = native_artifact(MACHINE, MACHINE)
+        assert bench_compare.compatibility_warnings(a, a) == []
+        assert bench_compare.threading_warnings(a, a) == []
+
+    def test_cross_machine_entries_warn(self):
+        other = dict(MACHINE, cpu_model="OtherCPU")
+        warns = bench_compare.compatibility_warnings(
+            native_artifact(MACHINE, MACHINE), native_artifact(other, other)
+        )
+        assert warns == [
+            "cross-machine comparison: machine.cpu_model differs "
+            "(baseline='TestCPU 9000', candidate='OtherCPU') "
+            "in kernels.ba, kernels.bahf"
+        ]
+
+    def test_null_entry_machine_is_missing_metadata(self):
+        warns = bench_compare.compatibility_warnings(
+            native_artifact(MACHINE, MACHINE), native_artifact(MACHINE, None)
+        )
+        assert len(warns) == 1
+        assert "machine metadata missing" in warns[0]
+        assert "kernels.bahf" in warns[0] and "kernels.ba," not in warns[0]
+
+    def test_entries_only_in_one_artifact_are_not_compared(self):
+        base = native_artifact(MACHINE, MACHINE)
+        cand = native_artifact(MACHINE, MACHINE)
+        cand["kernels"]["hf"] = {"native_trials_per_s": 1.0, "machine": None}
+        assert bench_compare.compatibility_warnings(base, cand) == []
+
+    def test_entry_thread_count_demotes_the_gate(self, tmp_path, capsys):
+        threaded = dict(MACHINE, n_threads=2)
+        base = tmp_path / "a.json"
+        cand = tmp_path / "b.json"
+        base.write_text(json.dumps(native_artifact(MACHINE, MACHINE)))
+        cand.write_text(json.dumps(native_artifact(threaded, threaded, rate=10.0)))
+        assert bench_compare.main([str(base), str(cand)]) == 0
+        err = capsys.readouterr().err
+        assert "cross-thread-count comparison: machine.n_threads" in err
+        assert "demoted to warnings" in err
+
+
 class TestMain:
     def write(self, tmp_path, name, payload):
         path = tmp_path / name

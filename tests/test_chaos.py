@@ -1,5 +1,6 @@
 """Tests for the chaos harness and the supervised chunk executor."""
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -211,6 +212,19 @@ class TestBackoff:
 
     def test_zero_base_disables(self):
         assert _backoff_delay("k", 1, 0.0, 2.0) == 0.0
+
+
+class TestRunReport:
+    def test_as_dict_keys_are_the_fields_plus_accounted(self):
+        report = RunReport(n_chunks=2, computed=1, quarantined=["k"],
+                           chaos={"kill": 1})
+        payload = report.as_dict()
+        names = [f.name for f in dataclasses.fields(RunReport)]
+        assert list(payload) == names + ["accounted"]
+        assert payload["quarantined"] == ["k"]
+        assert payload["chaos"] == {"kill": 1}
+        assert payload["chaos"] is not report.chaos
+        assert payload["accounted"] is True
 
 
 class TestQuarantine:

@@ -259,6 +259,59 @@ class TestFlagScope:
         err = self._usage_error(capsys, argv)
         assert "--chaos-profile/--deadline apply only to table1, figure5" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lambda", "--trials", "5", "--chaos-seed", "3"],
+             "--chaos-seed applies only to table1, figure5, not lambda"),
+            (["runtime", "--trials", "5"], "--trials applies only to"),
+            (["worstcase", "--full"], "--full applies only to"),
+            (["worstcase", "--max-n", "64"], "--max-n applies only to"),
+            (["families", "--jobs", "4"], "--jobs applies only to"),
+            (["lambda", "--backend", "threads"],
+             "--backend applies only to table1, figure5, runtime, topology, "
+             "all, not lambda"),
+            (["worstcase", "--engine", "des"],
+             "--engine applies only to runtime, topology, all, not worstcase"),
+            (["runtime", "--csv", "OUT"], "--csv applies only to"),
+            (["lambda", "--json", "OUT"], "--json applies only to"),
+            (["table1", "--out", "OUT"], "--out applies only to report"),
+            (["table1", "--fault-rates", "0.1"],
+             "--fault-rates applies only to fault, all, not table1"),
+            (["figure5", "--alpha", "0.3"], "--alpha applies only to fault, all"),
+        ],
+    )
+    def test_unread_flag_rejected(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        err = self._usage_error(capsys, argv)
+        assert message in err
+        assert not out.exists()
+
+    def test_flag_at_its_default_is_accepted(self, capsys):
+        assert main(["worstcase", "--jobs", "1", "--engine", "fastpath"]) == 0
+
+    def test_every_flag_has_a_row(self):
+        from repro.experiments.cli import FLAG_READERS
+
+        parser = build_parser()
+        dests = {
+            a.dest for a in parser._actions if a.option_strings and a.dest != "help"
+        }
+        scoped = {d for group in FLAG_READERS for d in group}
+        assert dests - scoped == {"seed"}  # every experiment reads --seed
+        assert scoped <= dests
+        (experiments,) = [a.choices for a in parser._actions if a.dest == "experiment"]
+        # "all" runs every experiment but "report" and accepts a flag one
+        # of them reads, except the journal and chaos flags
+        unshared = {"journal", "resume", "chaos_profile", "chaos_seed", "deadline"}
+        for group, readers in FLAG_READERS.items():
+            assert set(readers) <= set(experiments), group
+            read_in_all = bool(set(readers) - {"report", "all"})
+            assert ("all" in readers) == (
+                read_in_all and not set(group) & unshared
+            ), group
+
     def test_help_names_the_honouring_experiments(self):
         text = " ".join(build_parser().format_help().split())
         assert "crash-safe mode for table1/figure5/fault only" in text

@@ -106,25 +106,12 @@ class TestBASplitProperty:
 # -- Theorems 7 and 8 ---------------------------------------------------
 
 
-class _ListDraw:
-    def __init__(self, values):
-        self.values = list(values)
-        self.i = 0
-
-    def __call__(self):
-        if self.i >= len(self.values):  # recycle if exhausted
-            self.i = 0
-        v = self.values[self.i]
-        self.i += 1
-        return v
-
-
 class TestTheorem7Property:
     @given(alpha=alphas, n=st.integers(min_value=1, max_value=150), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_ba_ratio_within_bound(self, alpha, n, data):
         draws = data.draw(draws_strategy(alpha, max(1, 2 * n)))
-        weights = ba_final_weights(1.0, n, _ListDraw(draws))
+        weights = ba_final_weights(1.0, n, draws)
         ratio = weights.max() * n
         assert ratio <= ba_bound(alpha, n) * (1 + 1e-9)
 
@@ -132,7 +119,7 @@ class TestTheorem7Property:
     @settings(max_examples=50, deadline=None)
     def test_ba_conserves_weight(self, alpha, n, data):
         draws = data.draw(draws_strategy(alpha, max(1, 2 * n)))
-        weights = ba_final_weights(1.0, n, _ListDraw(draws))
+        weights = ba_final_weights(1.0, n, draws)
         assert weights.sum() == pytest.approx(1.0)
         assert len(weights) == n
 
@@ -147,9 +134,7 @@ class TestTheorem8Property:
     @settings(max_examples=100, deadline=None)
     def test_bahf_ratio_within_bound(self, alpha, n, lam, data):
         draws = data.draw(draws_strategy(alpha, max(1, 2 * n)))
-        weights = bahf_final_weights(
-            1.0, n, _ListDraw(draws), alpha=alpha, lam=lam
-        )
+        weights = bahf_final_weights(1.0, n, draws, alpha=alpha, lam=lam)
         ratio = weights.max() * n
         assert ratio <= bahf_bound(alpha, n, lam) * (1 + 1e-9)
         assert weights.sum() == pytest.approx(1.0)

@@ -123,13 +123,6 @@ class TestBatchedSamplerApi:
     ]
 
     @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.describe())
-    def test_sample_block_matches_flat_stream(self, sampler):
-        flat = sampler.sample_many(np.random.default_rng(3), 12)
-        block = sampler.sample_block(np.random.default_rng(3), (3, 4))
-        assert block.shape == (3, 4)
-        np.testing.assert_array_equal(block.ravel(), flat)
-
-    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.describe())
     def test_trial_matrix_rows_match_per_trial_streams(self, sampler):
         rngs = [np.random.default_rng(seed) for seed in (5, 6, 7)]
         matrix = sampler.sample_trial_matrix(rngs, 9)

@@ -16,6 +16,7 @@ robustness archetype is about:
 """
 
 import asyncio
+import dataclasses
 import http.client
 import json
 import os
@@ -472,6 +473,15 @@ class TestServeReport:
         assert payload["accounted"] is True
         assert payload["drained"] is True
         assert payload["x"] == 1
+
+    def test_as_dict_keys_are_the_fields_plus_accounted(self):
+        report = ServeReport(received=1, last_errors=["boom"])
+        payload = report.as_dict()
+        names = [f.name for f in dataclasses.fields(ServeReport)]
+        assert list(payload) == names + ["accounted"]
+        assert payload["last_errors"] == ["boom"]
+        assert payload["last_errors"] is not report.last_errors
+        assert payload["accounted"] is False
 
 
 # ----------------------------------------------------------------------

@@ -90,20 +90,12 @@ class TestBudget:
 
 
 class TestDrawsArgument:
-    def test_trial_ratios_rejects_scalar_path(self):
-        draws = np.full((4, 7), 0.4)
-        with pytest.raises(ValueError, match="use_batch"):
-            trial_ratios(
-                "hf", 8, UniformAlpha(0.1, 0.5), n_trials=4, seed=1,
-                use_batch=False, draws=draws,
-            )
-
     def test_trial_ratios_rejects_row_mismatch(self):
         draws = np.full((3, 7), 0.4)
         with pytest.raises(ValueError, match="rows"):
             trial_ratios(
                 "hf", 8, UniformAlpha(0.1, 0.5), n_trials=4, seed=1,
-                use_batch=True, draws=draws,
+                draws=draws,
             )
 
     def test_study_rejects_non_central_phf(self):

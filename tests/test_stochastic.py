@@ -1,87 +1,140 @@
-"""Unit tests for the Monte-Carlo trial machinery."""
+"""Unit tests for the Monte-Carlo trial machinery and the row oracles."""
 
 import numpy as np
 import pytest
 
-from repro.core import bound_for, run_ba, run_bahf, run_hf
-from repro.experiments.stochastic import (
-    DrawStream,
-    sample_ratios,
-    trial_ratio,
-    trial_ratios,
+from repro.core import (
+    ba_final_weights,
+    bahf_final_weights,
+    bound_for,
+    hf_final_weights,
+    run_ba,
+    run_bahf,
+    run_hf,
 )
+from repro.core.problem import normalize_algorithm
+from repro.experiments.stochastic import draw_rows, sample_ratios, trial_ratios
 from repro.problems import FixedAlpha, SyntheticProblem, UniformAlpha
 
 
-class TestDrawStream:
-    def test_values_in_support(self):
-        stream = DrawStream(UniformAlpha(0.2, 0.4), np.random.default_rng(0))
-        draws = [stream() for _ in range(100)]
-        assert all(0.2 <= d <= 0.4 for d in draws)
-        assert stream.n_draws == 100
+def _row(algorithm, n, sampler, seed):
+    """Trial 0's draw row, as every sweep builds it."""
+    rows = draw_rows(
+        algorithm, n, sampler, seed=seed, start=0, stop=1, n_draws=max(0, n - 1)
+    )
+    return rows[0]
 
-    def test_block_boundary_seamless(self):
-        stream = DrawStream(
-            UniformAlpha(0.1, 0.5), np.random.default_rng(1), block=7
+
+def _oracle(algorithm, n, row, *, alpha, lam=1.0):
+    """The scalar row oracle for ``algorithm`` (PHF is HF, Theorem 3)."""
+    key = normalize_algorithm(algorithm)
+    if key in ("hf", "phf"):
+        return hf_final_weights(1.0, n, row)
+    if key == "ba":
+        return ba_final_weights(1.0, n, row)
+    return bahf_final_weights(1.0, n, row, alpha=alpha, lam=lam)
+
+
+def _trial_ratio(algorithm, n, sampler, seed, *, lam=1.0):
+    """One trial's ratio: the row oracle on its ``draw_rows`` row."""
+    row = _row(algorithm, n, sampler, seed)
+    weights = _oracle(algorithm, n, row, alpha=sampler.alpha, lam=lam)
+    return float(weights.max() * n)
+
+
+ORACLES = ("hf", "ba", "bahf")
+
+
+class TestRowOracles:
+    @pytest.mark.parametrize("algorithm", ORACLES)
+    def test_accepts_ndarray_row(self, algorithm):
+        row = np.random.default_rng(1).uniform(0.1, 0.5, size=30)
+        weights = _oracle(algorithm, 31, row, alpha=0.1)
+        assert weights.shape == (31,)
+        assert weights.sum() == pytest.approx(1.0)
+        # a list of the same values gives the same weights
+        assert np.array_equal(
+            weights, _oracle(algorithm, 31, row.tolist(), alpha=0.1)
         )
-        draws = [stream() for _ in range(20)]  # crosses two refills
-        assert len(set(draws)) == 20  # continuous distribution: all distinct
 
-    def test_matches_unblocked_sampling(self):
-        # the stream must reproduce sampler.sample_many(rng, ...) order
-        sampler = UniformAlpha(0.1, 0.5)
-        direct = sampler.sample_many(np.random.default_rng(5), 10)
-        stream = DrawStream(sampler, np.random.default_rng(5), block=10)
-        assert [stream() for _ in range(10)] == pytest.approx(list(direct))
+    @pytest.mark.parametrize("algorithm", ORACLES)
+    def test_short_row_rejected(self, algorithm):
+        with pytest.raises(ValueError, match="need 15 alpha draws, got 14"):
+            _oracle(algorithm, 16, np.full(14, 0.3), alpha=0.3)
 
-    def test_rejects_bad_block(self):
-        with pytest.raises(ValueError):
-            DrawStream(UniformAlpha(0.1, 0.5), np.random.default_rng(0), block=0)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("column", [0, 7, 14])
+    @pytest.mark.parametrize("algorithm", ORACLES)
+    def test_nonfinite_used_draw_rejected(self, algorithm, column, bad):
+        row = np.full(15, 0.3)
+        row[column] = bad
+        with pytest.raises(ValueError, match="alpha draws must be finite"):
+            _oracle(algorithm, 16, row, alpha=0.3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("algorithm", ORACLES)
+    def test_nonfinite_past_used_columns_ignored(self, algorithm, bad):
+        row = np.random.default_rng(2).uniform(0.1, 0.5, size=20)
+        padded = row.copy()
+        padded[15:] = bad
+        expected = _oracle(algorithm, 16, row[:15], alpha=0.1)
+        assert np.array_equal(_oracle(algorithm, 16, padded, alpha=0.1), expected)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_bahf_reads_hf_jobs_at_dfs_offsets(self, lam):
+        # with a threshold above N the whole row is one HF job; with
+        # threshold 2 (tiny lambda) BA-HF is BA on the same row
+        row = np.random.default_rng(3).uniform(0.25, 0.5, size=40)
+        assert np.array_equal(
+            bahf_final_weights(1.0, 41, row, alpha=0.25, lam=100.0 * lam),
+            hf_final_weights(1.0, 41, row),
+        )
+        assert np.array_equal(
+            bahf_final_weights(1.0, 41, row, alpha=0.5, lam=0.01 * lam),
+            ba_final_weights(1.0, 41, row),
+        )
 
 
 class TestTrialRatio:
     @pytest.mark.parametrize("algorithm", ["hf", "phf", "ba", "bahf"])
     def test_ratio_at_least_one(self, algorithm):
-        r = trial_ratio(
-            algorithm, 64, UniformAlpha(0.1, 0.5), np.random.default_rng(0)
-        )
+        r = _trial_ratio(algorithm, 64, UniformAlpha(0.1, 0.5), seed=0)
         assert r >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("algorithm", ["hf", "ba", "bahf"])
     def test_ratio_within_worst_case(self, algorithm):
         sampler = UniformAlpha(0.05, 0.5)
         for seed in range(10):
-            r = trial_ratio(
-                algorithm, 128, sampler, np.random.default_rng(seed)
-            )
+            r = _trial_ratio(algorithm, 128, sampler, seed=seed)
             assert r <= bound_for(algorithm, sampler.alpha, 128) + 1e-9
 
     def test_phf_aliases_hf(self):
-        a = trial_ratio("phf", 64, UniformAlpha(0.1, 0.5), np.random.default_rng(3))
-        b = trial_ratio("hf", 64, UniformAlpha(0.1, 0.5), np.random.default_rng(3))
-        assert a == pytest.approx(b)
+        # a PHF trial is HF on PHF's own row
+        sampler = UniformAlpha(0.1, 0.5)
+        row = _row("phf", 64, sampler, seed=3)
+        ratio = trial_ratios("phf", 64, sampler, n_trials=1, seed=3)[0]
+        assert ratio == pytest.approx(hf_final_weights(1.0, 64, row).max() * 64)
 
     def test_perfect_balance_power_of_two(self):
         for algo in ("hf", "ba", "bahf"):
-            r = trial_ratio(algo, 64, FixedAlpha(0.5), np.random.default_rng(0))
+            r = _trial_ratio(algo, 64, FixedAlpha(0.5), seed=0)
             assert r == pytest.approx(1.0)
 
     def test_hf_exact_small_case(self):
         # fixed 0.5 splits, N=3: pieces 1/2, 1/4, 1/4 -> ratio 1.5
-        r = trial_ratio("hf", 3, FixedAlpha(0.5), np.random.default_rng(0))
+        r = _trial_ratio("hf", 3, FixedAlpha(0.5), seed=0)
         assert r == pytest.approx(1.5)
 
     def test_matches_object_api_fixed_alpha(self):
-        # the fast path and the object API agree on deterministic classes
+        # the row oracles and the object API agree on deterministic classes
         n, a = 41, 0.3
-        rng = np.random.default_rng(0)
-        fast = trial_ratio("hf", n, FixedAlpha(a), rng)
+        fast = _trial_ratio("hf", n, FixedAlpha(a), seed=0)
         obj = run_hf(SyntheticProblem(1.0, FixedAlpha(a), seed=0), n).ratio
         assert fast == pytest.approx(obj)
-        fast_ba = trial_ratio("ba", n, FixedAlpha(a), rng)
+        fast_ba = _trial_ratio("ba", n, FixedAlpha(a), seed=0)
         obj_ba = run_ba(SyntheticProblem(1.0, FixedAlpha(a), seed=0), n).ratio
         assert fast_ba == pytest.approx(obj_ba)
-        fast_bahf = trial_ratio("bahf", n, FixedAlpha(a), rng, lam=1.0)
+        fast_bahf = _trial_ratio("bahf", n, FixedAlpha(a), seed=0, lam=1.0)
         obj_bahf = run_bahf(
             SyntheticProblem(1.0, FixedAlpha(a), seed=0), n, lam=1.0
         ).ratio
@@ -89,10 +142,10 @@ class TestTrialRatio:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
-            trial_ratio("lpt", 8, UniformAlpha(0.1, 0.5), np.random.default_rng(0))
+            trial_ratios("lpt", 8, UniformAlpha(0.1, 0.5), n_trials=1, seed=0)
 
     def test_single_processor_ratio_one(self):
-        r = trial_ratio("hf", 1, UniformAlpha(0.1, 0.5), np.random.default_rng(0))
+        r = _trial_ratio("hf", 1, UniformAlpha(0.1, 0.5), seed=0)
         assert r == pytest.approx(1.0)
 
 
@@ -134,35 +187,3 @@ class TestSampleRatios:
         assert summary.minimum == pytest.approx(raw.min())
         assert summary.maximum == pytest.approx(raw.max())
         assert summary.n_trials == 50
-
-
-class TestDrawStreamTake:
-    def test_matches_scalar_draw_sequence(self):
-        sampler = UniformAlpha(0.1, 0.5)
-        scalar = DrawStream(sampler, np.random.default_rng(8), block=16)
-        bulk = DrawStream(sampler, np.random.default_rng(8), block=16)
-        expected = np.array([scalar() for _ in range(40)])
-        got = bulk.take(40)
-        np.testing.assert_array_equal(got, expected)
-        assert bulk.n_draws == 40
-
-    def test_mixed_scalar_and_bulk(self):
-        sampler = UniformAlpha(0.1, 0.5)
-        reference = DrawStream(sampler, np.random.default_rng(9), block=8)
-        mixed = DrawStream(sampler, np.random.default_rng(9), block=8)
-        expected = np.array([reference() for _ in range(25)])
-        got = np.concatenate(
-            [[mixed() for _ in range(3)], mixed.take(12), [mixed()], mixed.take(9)]
-        )
-        np.testing.assert_array_equal(got, expected)
-
-    def test_take_crossing_block_boundary(self):
-        sampler = UniformAlpha(0.2, 0.4)
-        stream = DrawStream(sampler, np.random.default_rng(10), block=4)
-        assert stream.take(11).shape == (11,)
-        assert stream.n_draws == 11
-
-    def test_take_zero_is_empty(self):
-        stream = DrawStream(UniformAlpha(0.1, 0.5), np.random.default_rng(0))
-        assert stream.take(0).size == 0
-        assert stream.n_draws == 0

@@ -97,13 +97,73 @@ def iter_metrics(payload: Dict) -> Iterator[Tuple[str, str, float]]:
                 yield name, metric, float(value)
 
 
+def _machine_pairs(baseline: Dict, candidate: Dict) -> List[Tuple[str, object, object]]:
+    """``(where, baseline_machine, candidate_machine)`` blocks to compare.
+
+    An artifact keeps its ``machine`` block at the top level, or in each
+    entry of its :data:`GROUP_KEYS` groups (``BENCH_native.json``, whose
+    entries come from separate runs).  Entries present in both artifacts
+    pair by ``group.name`` when either carries a block; a side without
+    one falls back to its top-level block.  With no entry blocks the
+    top-level pair is compared, as ``where == ""``.
+    """
+
+    def entries(payload: Dict) -> Dict[str, Dict]:
+        return {
+            f"{group}.{name}": metrics
+            for group in GROUP_KEYS
+            if isinstance(payload.get(group), dict)
+            for name, metrics in payload[group].items()
+            if isinstance(metrics, dict)
+        }
+
+    base_top, cand_top = baseline.get("machine"), candidate.get("machine")
+    base, cand = entries(baseline), entries(candidate)
+    pairs = [
+        (
+            where,
+            base[where].get("machine", base_top),
+            cand[where].get("machine", cand_top),
+        )
+        for where in sorted(set(base) & set(cand))
+        if "machine" in base[where] or "machine" in cand[where]
+    ]
+    return pairs or [("", base_top, cand_top)]
+
+
+def _differing(
+    pairs: List[Tuple[str, object, object]], keys: Sequence[str]
+) -> Iterator[Tuple[str, object, object, str]]:
+    """``(key, old, new, where)`` for each ``keys`` field that differs,
+    grouping the entries that share a difference (``where`` is empty for
+    the top-level pair)."""
+    found: Dict[Tuple[str, str, str], Tuple[object, object, List[str]]] = {}
+    for where, old_block, new_block in pairs:
+        if not isinstance(old_block, dict) or not isinstance(new_block, dict):
+            continue
+        for key in keys:
+            old, new = old_block.get(key), new_block.get(key)
+            if old != new:
+                tag = (key, repr(old), repr(new))
+                found.setdefault(tag, (old, new, []))[2].append(where)
+    for (key, _, _), (old, new, wheres) in found.items():
+        yield key, old, new, _in_entries(wheres)
+
+
+def _in_entries(wheres: List[str]) -> str:
+    named = [w for w in wheres if w]
+    return f" in {', '.join(named)}" if named else ""
+
+
 def compatibility_warnings(baseline: Dict, candidate: Dict) -> List[str]:
     """Non-fatal mismatches between two artifacts' provenance blocks.
 
     Flags a differing (or missing) ``schema_version`` and any
     :data:`MACHINE_KEYS` field that disagrees between the two
-    ``machine`` blocks -- a cross-machine throughput diff still runs,
-    but the numbers should be read as apples-to-oranges.
+    artifacts' ``machine`` blocks (top-level or per entry, see
+    :func:`_machine_pairs`) -- a cross-machine throughput diff still
+    runs, but the numbers should be read as apples-to-oranges.  A
+    ``null`` or absent block facing a real one is missing metadata.
     """
     warns: List[str] = []
     base_schema = baseline.get("schema_version")
@@ -113,22 +173,22 @@ def compatibility_warnings(baseline: Dict, candidate: Dict) -> List[str]:
             f"schema_version differs: baseline={base_schema!r} "
             f"candidate={cand_schema!r} (artifact layouts may not match)"
         )
-    base_machine = baseline.get("machine")
-    cand_machine = candidate.get("machine")
-    if not isinstance(base_machine, dict) or not isinstance(cand_machine, dict):
-        if base_machine != cand_machine:
-            warns.append(
-                "machine metadata missing from one artifact; cannot rule "
-                "out a cross-machine comparison"
-            )
-        return warns
-    for key in MACHINE_KEYS:
-        old, new = base_machine.get(key), cand_machine.get(key)
-        if old != new:
-            warns.append(
-                f"cross-machine comparison: machine.{key} differs "
-                f"(baseline={old!r}, candidate={new!r})"
-            )
+    pairs = _machine_pairs(baseline, candidate)
+    missing = [
+        where
+        for where, old, new in pairs
+        if old != new and not (isinstance(old, dict) and isinstance(new, dict))
+    ]
+    if missing:
+        warns.append(
+            f"machine metadata missing from one artifact{_in_entries(missing)}"
+            "; cannot rule out a cross-machine comparison"
+        )
+    for key, old, new, where in _differing(pairs, MACHINE_KEYS):
+        warns.append(
+            f"cross-machine comparison: machine.{key} differs "
+            f"(baseline={old!r}, candidate={new!r}){where}"
+        )
     return warns
 
 
@@ -142,20 +202,14 @@ def threading_warnings(baseline: Dict, candidate: Dict) -> List[str]:
     anything.  Artifacts predating the threading fields compare as
     ``None`` and do not trip the check against each other.
     """
-    base_machine = baseline.get("machine")
-    cand_machine = candidate.get("machine")
-    if not isinstance(base_machine, dict) or not isinstance(cand_machine, dict):
-        return []
-    warns: List[str] = []
-    for key in THREADING_KEYS:
-        old, new = base_machine.get(key), cand_machine.get(key)
-        if old != new:
-            warns.append(
-                f"cross-thread-count comparison: machine.{key} differs "
-                f"(baseline={old!r}, candidate={new!r}); throughput "
-                "changes reflect the threading setup, not the code"
-            )
-    return warns
+    return [
+        f"cross-thread-count comparison: machine.{key} differs "
+        f"(baseline={old!r}, candidate={new!r}){where}; throughput "
+        "changes reflect the threading setup, not the code"
+        for key, old, new, where in _differing(
+            _machine_pairs(baseline, candidate), THREADING_KEYS
+        )
+    ]
 
 
 def compare_artifacts(

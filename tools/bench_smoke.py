@@ -73,7 +73,6 @@ def _entries() -> Dict[str, Callable[[int], None]]:
                 sampler,
                 n_trials=n_trials,
                 seed=SEED,
-                use_batch=True,
                 n_threads=n_threads,
             )
 
