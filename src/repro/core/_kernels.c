@@ -2,7 +2,7 @@
  *
  * One call advances a whole batch: trial i reads its alpha-hat draws from
  * row i of `draws` and writes its outputs into row i of `out` (or the
- * i-th slot of the per-trial metric arrays).  Five kernels live here:
+ * i-th slot of the per-trial metric arrays).  Six kernels live here:
  *
  *   repro_hf_batch    -- HF final weights (hold-back 8-ary max-heap)
  *   repro_ba_batch    -- BA final weights (explicit DFS stack)
@@ -14,6 +14,10 @@
  *   repro_phf_metrics -- PHF machine metrics (central phase 1, complete
  *                        network): makespan, collective time/count,
  *                        control messages and max final weight per trial
+ *   repro_seeded_ratios -- HF / BA / BA-HF ratios straight from each
+ *                        trial's seed: the kernel samples the trial's
+ *                        U[low, high] row itself (numpy's default_rng
+ *                        stream, bit for bit) and returns max * n only
  *
  * Exactness contract: children are computed as a*w and (1.0-a)*w -- the
  * same IEEE-754 operations, in the same order, as the scalar Python fast
@@ -44,7 +48,7 @@
  * (serial), so the source always compiles with a bare C99 toolchain.
  */
 
-#include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 
 #if defined(REPRO_THREADS_PTHREAD)
@@ -261,9 +265,11 @@ void repro_hf_batch(const double *draws, long draws_stride,
  * in the same order, as repro.core.ba.ba_split. */
 static long ba_split_n1(double w1, double w2, long n)
 {
+    /* eta >= 0 is finite, so truncation is floor and one compare gives
+     * ceil -- no libm call per node. */
     double eta = (double)n * w1 / (w1 + w2);
-    long lo = (long)floor(eta);
-    long hi = (long)ceil(eta);
+    long lo = (long)eta;
+    long hi = lo + ((double)lo < eta);
     double cost_lo, cost_hi, alt;
 
     if (lo < 1)
@@ -774,4 +780,249 @@ int repro_phf_metrics(const double *draws, long draws_stride,
     ctx.maxw = maxw;
     ctx.status = status;
     return for_each_trial_block(phf_trial_block, &ctx, n_trials, n_threads);
+}
+
+/* ------------------------------------------------------------------ */
+/* Seeded trials: sample each trial's row in the kernel                */
+/* ------------------------------------------------------------------ */
+
+/* Trial t of a cell with root seed r reads the first n-1 values of
+ * numpy's default_rng(split_seed(r, t)).uniform(low, high).  The three
+ * pieces below reproduce that stream bit for bit:
+ *
+ *   split_seed -- SplitMix64, as repro.utils.rng.split_seed;
+ *   seed_pcg64 -- numpy's SeedSequence(seed).generate_state(4, uint64)
+ *                 (pool of four 32-bit words) and PCG64's seeding;
+ *   pcg64_next -- PCG64's 128-bit LCG step and XSL-RR output.
+ *
+ * A draw is low + (high - low) * ((next >> 11) * 2^-53), numpy's
+ * random_uniform.  _native.py compares one row per seed width against
+ * numpy at load time and disables repro_seeded_ratios on a mismatch, so
+ * a numpy stream change can never break bit-identity silently. */
+
+static uint64_t splitmix64(uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+static uint64_t split_seed(uint64_t seed, uint64_t index)
+{
+    return splitmix64(seed ^ splitmix64(index));
+}
+
+/* 128-bit PCG state as two 64-bit halves. */
+typedef struct {
+    uint64_t hi, lo;
+} u128;
+
+#define PCG_MULT_HI 2549297995355413924ULL
+#define PCG_MULT_LO 4865540595714422341ULL
+
+/* a * b as a full 128-bit product; a portable fallback where the
+ * compiler has no 128-bit integer type. */
+static u128 mul_64x64(uint64_t a, uint64_t b)
+{
+    u128 r;
+#if defined(__SIZEOF_INT128__)
+    unsigned __int128 p = (unsigned __int128)a * b;
+
+    r.hi = (uint64_t)(p >> 64);
+    r.lo = (uint64_t)p;
+#else
+    uint64_t a0 = a & 0xFFFFFFFFULL, a1 = a >> 32;
+    uint64_t b0 = b & 0xFFFFFFFFULL, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFULL) +
+                   (p10 & 0xFFFFFFFFULL);
+
+    r.lo = (mid << 32) | (p00 & 0xFFFFFFFFULL);
+    r.hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+#endif
+    return r;
+}
+
+static u128 add_128(u128 a, u128 b)
+{
+    u128 r;
+
+    r.lo = a.lo + b.lo;
+    r.hi = a.hi + b.hi + (r.lo < b.lo);
+    return r;
+}
+
+typedef struct {
+    u128 state, inc;
+} pcg64;
+
+/* state = state * multiplier + inc (mod 2^128) */
+static void pcg64_step(pcg64 *g)
+{
+    u128 p = mul_64x64(g->state.lo, PCG_MULT_LO);
+
+    p.hi += g->state.lo * PCG_MULT_HI + g->state.hi * PCG_MULT_LO;
+    g->state = add_128(p, g->inc);
+}
+
+static uint64_t pcg64_next(pcg64 *g)
+{
+    uint64_t x;
+    unsigned rot;
+
+    pcg64_step(g);
+    x = g->state.hi ^ g->state.lo;
+    rot = (unsigned)(g->state.hi >> 58);
+    return (x >> rot) | (x << ((64u - rot) & 63u));
+}
+
+/* SeedSequence's hashmix; *hash_const is advanced by every call. */
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const = (uint32_t)(*hash_const * 0x931E8875u);
+    value = (uint32_t)(value * *hash_const);
+    return value ^ (value >> 16);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = (uint32_t)((uint32_t)(0xCA01F9DDu * x) -
+                            (uint32_t)(0x4973F715u * y));
+
+    return r ^ (r >> 16);
+}
+
+/* PCG64(SeedSequence(seed)).  The seed's little-endian 32-bit words
+ * (one for seed < 2^32) fill a pool of four; unused pool words hash a
+ * zero word, so one- and two-word seeds need no separate case. */
+static void seed_pcg64(pcg64 *g, uint64_t seed)
+{
+    uint32_t entropy[2], pool[4], words[8];
+    uint32_t hash_const = 0x43B0D7E5u;
+    uint64_t s[4];
+    u128 init;
+    int i, j;
+
+    entropy[0] = (uint32_t)seed;
+    entropy[1] = (uint32_t)(seed >> 32);
+    for (i = 0; i < 4; ++i)
+        pool[i] = ss_hashmix(i < 2 ? entropy[i] : 0u, &hash_const);
+    for (i = 0; i < 4; ++i)
+        for (j = 0; j < 4; ++j)
+            if (i != j)
+                pool[j] = ss_mix(pool[j], ss_hashmix(pool[i], &hash_const));
+    hash_const = 0x8B51F9DDu;
+    for (i = 0; i < 8; ++i) {
+        uint32_t v = pool[i & 3] ^ hash_const;
+
+        hash_const = (uint32_t)(hash_const * 0x58F38DEDu);
+        v = (uint32_t)(v * hash_const);
+        words[i] = v ^ (v >> 16);
+    }
+    for (i = 0; i < 4; ++i)
+        s[i] = (uint64_t)words[2 * i] | ((uint64_t)words[2 * i + 1] << 32);
+    init.hi = s[0];
+    init.lo = s[1];
+    g->inc.hi = (s[2] << 1) | (s[3] >> 63);
+    g->inc.lo = (s[3] << 1) | 1u;
+    g->state.hi = g->state.lo = 0;
+    pcg64_step(g);
+    g->state = add_128(g->state, init);
+    pcg64_step(g);
+}
+
+/* The first k draws of default_rng(seed).uniform(low, high). */
+static void uniform_row(uint64_t seed, double low, double high, double *row,
+                        long k)
+{
+    double range = high - low;
+    pcg64 g;
+    long j;
+
+    seed_pcg64(&g, seed);
+    for (j = 0; j < k; ++j)
+        row[j] = low + range *
+                 ((double)(pcg64_next(&g) >> 11) * (1.0 / 9007199254740992.0));
+}
+
+/* One C row, for the load-time self-check against numpy. */
+void repro_uniform_row(unsigned long long seed, double low, double high,
+                       double *out, long k)
+{
+    uniform_row((uint64_t)seed, low, high, out, k);
+}
+
+typedef struct {
+    int kind;
+    uint64_t root;
+    long start;
+    long n;
+    double low, high;
+    double threshold;
+    double *out;
+} seeded_ctx;
+
+/* Trials [lo, hi) of a seeded call: sample the row into per-thread
+ * scratch, run HF (kind 0) or the BA walk (kind 1, BA-HF when
+ * threshold >= 0), write max * n. */
+static void seeded_trial_block(void *vctx, long lo, long hi, int *rc)
+{
+    seeded_ctx *ctx = (seeded_ctx *)vctx;
+    long n = ctx->n;
+    int fixed = ctx->low == ctx->high;
+    double *row = (double *)malloc((size_t)(3 * n + 1) * sizeof(double));
+    long *sn = (long *)malloc((size_t)(n + 1) * sizeof(long));
+    double *leaves, *sw;
+    long i, j;
+
+    if (row == NULL || sn == NULL) {
+        free(row);
+        free(sn);
+        *rc = -1;
+        return;
+    }
+    leaves = row + n; /* row holds n - 1 draws */
+    sw = leaves + n;
+    if (fixed) /* a point mass reads no generator */
+        for (j = 0; j < n - 1; ++j)
+            row[j] = ctx->low;
+    for (i = lo; i < hi; ++i) {
+        double mx;
+
+        if (!fixed)
+            uniform_row(split_seed(ctx->root, (uint64_t)(ctx->start + i)),
+                        ctx->low, ctx->high, row, n - 1);
+        if (ctx->kind == 0) {
+            hf_one(row, leaves, 1.0, n);
+            mx = leaves[n - 1]; /* the held-back maximum */
+        } else {
+            ba_one(row, leaves, 1.0, n, ctx->threshold, sw, sn, NULL);
+            mx = leaves[0];
+            for (j = 1; j < n; ++j)
+                if (leaves[j] > mx)
+                    mx = leaves[j];
+        }
+        ctx->out[i] = mx * (double)n;
+    }
+    free(row);
+    free(sn);
+}
+
+/* Ratios max_i w_i * n of trials start .. start + n_trials - 1 of one
+ * cell, unit initial weight, draws U[low, high] from each trial's own
+ * seeded stream (a constant row when low == high).  kind 0 is HF; kind
+ * 1 is BA (threshold < 0) or BA-HF.  No draw or weight matrix is built:
+ * each thread reuses one row and one leaf buffer. */
+int repro_seeded_ratios(int kind, unsigned long long root, long start,
+                        long n_trials, long n, double low, double high,
+                        double threshold, double *ratio_out, long n_threads)
+{
+    seeded_ctx ctx = {.kind = kind, .root = (uint64_t)root, .start = start,
+                      .n = n, .low = low, .high = high,
+                      .threshold = threshold, .out = ratio_out};
+
+    return for_each_trial_block(seeded_trial_block, &ctx, n_trials,
+                                n_threads);
 }

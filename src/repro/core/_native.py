@@ -7,7 +7,7 @@ loop step per trial), which caps them near the scalar loops at large
 N.  The per-trial loops are a few hundred lines of C, so this module
 compiles :file:`_kernels.c` on demand with whatever system compiler is
 available (``cc``/``gcc``/``clang``) and loads it through :mod:`ctypes`
--- no build step, no new Python dependency.  It exposes five kernels:
+-- no build step, no new Python dependency.  It exposes six kernels:
 
 * :func:`hf_batch_native`   -- HF final weights (hold-back 8-ary heap)
 * :func:`ba_batch_native`   -- BA final weights (explicit DFS stack)
@@ -17,6 +17,10 @@ available (``cc``/``gcc``/``clang``) and loads it through :mod:`ctypes`
   and max final weight) for the complete-network fastpath
 * :func:`phf_metrics_native` -- PHF machine metrics for the central
   phase-1 / complete-network fastpath
+* :func:`seeded_ratios_native` -- HF / BA / BA-HF trial ratios from
+  a cell's root seed: each trial's U[low, high] row is sampled inside
+  the kernel (numpy's ``default_rng`` stream, bit for bit) and only its
+  ratio comes back
 
 Everything here degrades gracefully: if there is no compiler, the build
 fails, or ``REPRO_NO_NATIVE`` is set in the environment, callers get
@@ -26,6 +30,12 @@ source text and *the compiler version*, so it compiles once per machine
 and toolchain, not once per process: a fresh pool worker on a warm cache
 loads the artifact without running the compiler.  One-line logs record
 whether the compile was skipped (cache hit), performed, or failed.
+
+Loading runs one self-check: a C row of the seeded sampler against
+``np.random.default_rng(seed).uniform(...)`` for a one-word and a
+two-word seed.  A mismatch (a numpy stream change) logs a warning and
+disables :func:`seeded_ratios_native` only; callers then sample with
+numpy as before.
 
 Threading: the library is built with ``-pthread`` -- per-call
 spawn-and-join threads with no persistent state, so it is fork-safe
@@ -64,6 +74,7 @@ __all__ = [
     "native_threading_mode",
     "phf_metrics_native",
     "resolve_n_threads",
+    "seeded_ratios_native",
 ]
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_kernels.c")
@@ -74,6 +85,8 @@ _logger = logging.getLogger(__name__)
 _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
+#: Whether the loaded library's seeded rows passed the self-check.
+_seeded_ok = False
 
 _compiler_version_cache: Dict[str, str] = {}
 
@@ -172,6 +185,22 @@ def _declare(lib: ctypes.CDLL) -> None:
         _DOUBLE_P, _DOUBLE_P,  # makespan, maxw
         ctypes.c_long,  # n_threads
     ]
+    lib.repro_uniform_row.restype = None
+    lib.repro_uniform_row.argtypes = [
+        ctypes.c_ulonglong,  # seed
+        ctypes.c_double, ctypes.c_double,  # low, high
+        _DOUBLE_P, ctypes.c_long,  # out, k
+    ]
+    lib.repro_seeded_ratios.restype = ctypes.c_int
+    lib.repro_seeded_ratios.argtypes = [
+        ctypes.c_int,  # kind: 0 HF, 1 BA / BA-HF
+        ctypes.c_ulonglong,  # root seed
+        ctypes.c_long, ctypes.c_long, ctypes.c_long,  # start, n_trials, n
+        ctypes.c_double, ctypes.c_double,  # low, high
+        ctypes.c_double,  # threshold (< 0: plain BA)
+        _DOUBLE_P,  # ratio_out
+        ctypes.c_long,  # n_threads
+    ]
     lib.repro_phf_metrics.restype = ctypes.c_int
     lib.repro_phf_metrics.argtypes = [
         _DOUBLE_P,  # draws
@@ -241,8 +270,32 @@ def _build() -> Optional[ctypes.CDLL]:
     return lib
 
 
+#: Self-check seeds: one 32-bit word, and two words (>= 2**32).
+_SELF_CHECK_SEEDS = (0x2545F491, 0x9E3779B97F4A7C15)
+
+
+def _reference_row(seed: int, low: float, high: float, k: int) -> np.ndarray:
+    """numpy's row for ``seed``: what the C sampler must reproduce."""
+    return np.random.default_rng(seed).uniform(low, high, k)
+
+
+def _seeded_rows_match(lib: ctypes.CDLL) -> bool:
+    """One C row per seed width equals numpy's, bit for bit."""
+    low, high, k = 0.1, 0.5, 64
+    for seed in _SELF_CHECK_SEEDS:
+        row = np.empty(k, dtype=np.float64)
+        lib.repro_uniform_row(seed, low, high, _dptr(row), k)
+        if not np.array_equal(row, _reference_row(seed, low, high, k)):
+            _logger.warning(
+                "seeded native sampler disabled: its row for seed %#x "
+                "differs from numpy's default_rng stream", seed,
+            )
+            return False
+    return True
+
+
 def _load() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted
+    global _lib, _load_attempted, _seeded_ok
     if _disabled():
         return None
     if _load_attempted:
@@ -257,6 +310,9 @@ def _load() -> Optional[ctypes.CDLL]:
             except Exception as exc:
                 _logger.warning("native kernel compile failed: %s", exc)
                 _lib = None  # repro-lint: disable=R104
+            _seeded_ok = (  # repro-lint: disable=R104
+                _lib is not None and _seeded_rows_match(_lib)
+            )
             _load_attempted = True  # repro-lint: disable=R104
     return _lib
 
@@ -506,3 +562,37 @@ def phf_metrics_native(
     if rc != 0:
         return None
     return makespan, coll_time, coll_n, ctrl, maxw, status
+
+
+_SEEDED_KINDS = {"hf": 0, "ba": 1}
+
+
+def seeded_ratios_native(
+    kind: str, root: int, start: int, n_trials: int, n: int,
+    low: float, high: float, threshold: Optional[float] = None,
+    n_threads: Optional[int] = None,
+) -> Optional[np.ndarray]:
+    """Ratios of trials ``start .. start + n_trials - 1``, sampled in C.
+
+    Trial ``t`` draws its ``n - 1`` values from
+    ``default_rng(split_seed(root, t)).uniform(low, high)`` (a constant
+    row when ``low == high``) and runs ``kind`` -- ``"hf"``, or ``"ba"``
+    with ``threshold=None`` for plain BA and
+    :func:`repro.core.bahf.bahf_threshold` for BA-HF -- at unit initial
+    weight; the result is ``max weight * n`` per trial.  Returns ``None``
+    when the kernels are unavailable, the load-time self-check failed,
+    or the kernel could not run, so callers fall back to numpy rows.
+    """
+    lib = _load()
+    if lib is None or not _seeded_ok:
+        return None
+    if n < 1 or n_trials < 1 or start < 0:
+        raise ValueError(f"need n >= 1, n_trials >= 1 and start >= 0, got "
+                         f"n={n}, n_trials={n_trials}, start={start}")
+    out = np.empty(n_trials, dtype=np.float64)
+    rc = lib.repro_seeded_ratios(
+        _SEEDED_KINDS[kind], root, start, n_trials, n, low, high,
+        -1.0 if threshold is None else threshold, _dptr(out),
+        resolve_n_threads(n_threads),
+    )
+    return out if rc == 0 else None

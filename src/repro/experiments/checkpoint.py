@@ -69,6 +69,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos import ChaosPlan, ChaosSpec, RunReport, chaos_call
 from repro.chaos import crashpoints
+from repro.core import _native
 from repro.experiments.config import (
     default_backoff_base,
     default_backoff_cap,
@@ -769,6 +770,11 @@ def _supervise_pool(
     def make_pool() -> Any:
         if backend == "threads":
             return ThreadPoolExecutor(max_workers=n_jobs)
+        # Load the native kernels before the workers fork: each inherits
+        # the handle and the self-check result instead of probing the
+        # compiler and loading the library itself (a no-op under
+        # REPRO_NO_NATIVE).
+        _native.native_available()
         return ProcessPoolExecutor(
             max_workers=n_jobs, initializer=_process_worker_init
         )

@@ -6,11 +6,18 @@ records the achieved ratio ``max_i w(p_i) / (1/N)``.  The paper runs 1000
 trials per configuration and reports min/avg/max.
 
 Trial ``t``'s draws are one row: the first ``N - 1`` values of its own
-generator, built by :func:`draw_rows` (the one place rows come from).
-:func:`trial_ratios` runs the batched kernels of :mod:`repro.core.batch`
-on those rows; for the i.i.d. model only the weight multiset matters, so
-no problem objects, trees or bisection caching are needed.  The scalar
-row oracles (:func:`~repro.core.hf.hf_final_weights`,
+generator, ``default_rng(split_seed(root, t))``.  For the paper's
+samplers (exactly :class:`UniformAlpha` or :class:`FixedAlpha`)
+:func:`trial_ratios` hands the cell's root seed and trial range to one
+native call that samples each row in C and returns only the ratios
+(:func:`repro.core._native.seeded_ratios_native`); no generator, draw
+matrix or weight matrix is built in Python.  Every other case -- other
+samplers, explicit ``draws``, no compiler -- samples the rows with
+:func:`draw_rows` (the one place Python builds rows) and runs the
+batched kernels of :mod:`repro.core.batch` on them.  Both paths give
+the same ratios bit for bit.  For the i.i.d. model only the weight
+multiset matters, so no problem objects, trees or bisection caching are
+needed.  The scalar row oracles (:func:`~repro.core.hf.hf_final_weights`,
 :func:`~repro.core.ba.ba_final_weights`,
 :func:`~repro.core.bahf.bahf_final_weights`) read the same rows and are
 the tests' reference (``tests/test_batch.py``, ``tests/test_stochastic.py``).
@@ -23,6 +30,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core import _native
+from repro.core.bahf import bahf_threshold
 from repro.core.batch import (
     ba_final_weights_batch,
     bahf_final_weights_batch,
@@ -30,7 +39,7 @@ from repro.core.batch import (
 )
 from repro.core.metrics import RatioSample, summarize_ratios
 from repro.core.problem import normalize_algorithm
-from repro.problems.samplers import AlphaSampler, FixedAlpha
+from repro.problems.samplers import AlphaSampler, FixedAlpha, UniformAlpha
 from repro.utils.rng import SeedSequenceFactory
 
 __all__ = [
@@ -92,8 +101,13 @@ def trial_ratios(
     trial range across workers (``start`` offsets) reproduces the exact
     same values as one serial pass.
 
-    All trials of the call run through the vectorized kernels of
-    :mod:`repro.core.batch`, whose weight multisets equal the scalar row
+    When ``sampler`` is exactly a :class:`UniformAlpha` or
+    :class:`FixedAlpha` (a subclass keeps its own ``sample_many``) and
+    the native kernels loaded and passed their self-check, one call of
+    :func:`repro.core._native.seeded_ratios_native` samples every row in
+    C and returns the ratios.  Otherwise the rows come from
+    :func:`draw_rows` and run through the vectorized kernels of
+    :mod:`repro.core.batch`.  Either way the ratios equal the scalar row
     oracles' on the same rows bit for bit.
 
     ``draws`` optionally supplies the ``(n_trials, >= N-1)`` draw matrix
@@ -114,6 +128,18 @@ def trial_ratios(
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
 
+    if draws is None and type(sampler) in (UniformAlpha, FixedAlpha):
+        ratios = _native.seeded_ratios_native(
+            "hf" if key in ("hf", "phf") else "ba",
+            _trial_factory(algorithm, n_processors, seed).root_seed,
+            start, n_trials, n_processors, sampler.alpha, sampler.beta,
+            threshold=(
+                bahf_threshold(sampler.alpha, lam) if key == "bahf" else None
+            ),
+            n_threads=n_threads,
+        )
+        if ratios is not None:
+            return ratios
     if draws is None:
         draws = draw_rows(
             algorithm, n_processors, sampler, seed=seed, start=start,

@@ -170,6 +170,7 @@ _CTYPES_TO_C = {
     "c_ubyte": "unsigned char",
     "c_uint": "unsigned int",
     "c_ulong": "unsigned long",
+    "c_ulonglong": "unsigned long long",
     "c_ushort": "unsigned short",
     "c_void_p": "void*",
 }

@@ -161,6 +161,24 @@ class TestNativeBitIdentity:
         )
         assert np.array_equal(np.sort(nat, axis=1), np.sort(ref, axis=1))
 
+    @pytest.mark.parametrize("n", (2, 4, 64, 1024))
+    @pytest.mark.parametrize("value", (0.5, 0.25))
+    def test_ba_split_at_integral_eta(self, n, value):
+        """The C split's floor/ceil by truncation is exact when
+        ``eta = n * w1 / (w1 + w2)`` is an integer (every root here)."""
+        sampler = FixedAlpha(value)
+        draws = np.full((2, n - 1), value)
+        for kwargs in ({}, {"alpha": value, "lam": 1.0}):
+            entry = bahf_final_weights_batch if kwargs else ba_final_weights_batch
+            nat = entry(1.0, n, draws, method="native", **kwargs)
+            ref = entry(1.0, n, draws, method="frontier", **kwargs)
+            assert np.array_equal(np.sort(nat, axis=1), np.sort(ref, axis=1))
+            algorithm = "bahf" if kwargs else "ba"
+            assert np.array_equal(
+                trial_ratios(algorithm, n, sampler, n_trials=2, seed=1),
+                ref.max(axis=1) * n,
+            )
+
     @pytest.mark.parametrize("lam", (0.5, 1.0, 4.0))
     def test_bahf_frontier_runs_no_native_code(self, monkeypatch, lam):
         """The NumPy BA-HF path finishes its HF sub-jobs in NumPy too."""

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import _native
 from repro.experiments import fault_study, runner, runtime_study, stochastic
 from repro.experiments.config import StochasticConfig
 from repro.experiments.fault_study import run_fault_study
@@ -183,18 +184,24 @@ def _segments():
 def test_pooled_runs_sample_in_workers_only(name, backend, monkeypatch):
     parent = (os.getpid(), threading.get_ident())
     calls = {"parent": 0, "threads": 0}
-    real_draw_rows = stochastic.draw_rows
 
-    def draw_rows(*args, **kwargs):
-        # Forked workers count in their own copy of ``calls``, so only
-        # the parent process's calls land here; pool threads count apart.
-        if os.getpid() == parent[0]:
-            calls["parent" if threading.get_ident() == parent[1] else "threads"] += 1
-        return real_draw_rows(*args, **kwargs)
+    def counted(real):
+        def sample(*args, **kwargs):
+            # Forked workers count in their own copy of ``calls``, so only
+            # the parent process's calls land here; pool threads count apart.
+            if os.getpid() == parent[0]:
+                calls["parent" if threading.get_ident() == parent[1] else "threads"] += 1
+            return real(*args, **kwargs)
+        return sample
 
+    # Rows are sampled by draw_rows, or inside the kernel for the
+    # seeded path (UniformAlpha sweeps with the native kernels).
+    draw_rows = counted(stochastic.draw_rows)
     for module in (stochastic, runner, runtime_study, fault_study):
         if hasattr(module, "draw_rows"):
             monkeypatch.setattr(module, "draw_rows", draw_rows)
+    monkeypatch.setattr(
+        _native, "seeded_ratios_native", counted(_native.seeded_ratios_native))
     at_start = []
     real_execute = runner.execute_chunks
 

@@ -639,6 +639,32 @@ class TestR110FfiPrototype:
         assert len(findings) == 1
         assert "restype" in findings[0].message
 
+    @pytest.mark.parametrize(
+        "py_type, c_param, finding",
+        [
+            ("c_long", "unsigned long long seed", True),
+            ("c_ulonglong", "long seed", True),
+            ("c_ulonglong", "unsigned long long seed", False),
+        ],
+        ids=["long-for-ull", "ull-for-long", "ull-matches"],
+    )
+    def test_unsigned_long_long_width(self, py_type, c_param, finding):
+        """A 64-bit seed must be declared ``c_ulonglong``: ``long`` is
+        32-bit on LLP64, so ``c_long`` would truncate it there."""
+        files = {
+            "pkg/kern.c": f"void f({c_param})\n{{\n    (void)seed;\n}}\n",
+            "pkg/native.py": (
+                "import ctypes\n"
+                "def declare(lib):\n"
+                "    lib.f.restype = None\n"
+                f"    lib.f.argtypes = [ctypes.{py_type}]\n"
+            ),
+        }
+        findings = [f for f in project_findings(files) if f.rule == "R110"]
+        assert bool(findings) == finding
+        if finding:
+            assert "argument 0 of `f`" in findings[0].message
+
     def test_real_kernels_exports_fully_covered(self):
         """100%% coverage of _kernels.c symbols by _native.py declarations."""
         c_source = (REPO_ROOT / "src/repro/core/_kernels.c").read_text()
@@ -649,7 +675,9 @@ class TestR110FfiPrototype:
             "repro_bahf_batch",
             "repro_ba_metrics",
             "repro_phf_metrics",
+            "repro_seeded_ratios",
             "repro_threading_backend",
+            "repro_uniform_row",
         }
         native = REPO_ROOT / "src/repro/core/_native.py"
         project = build_project({str(native): native.read_text()})

@@ -53,21 +53,38 @@ if [ "$des_out" != "$fast_out" ] || [ "$des_out" != "$numpy_out" ]; then
     exit 1
 fi
 
-echo "== smoke: figure5, native vs REPRO_NO_NATIVE =="
+echo "== smoke: figure5, table1, distributions, native vs REPRO_NO_NATIVE =="
 # With 64 trials per cell up to N=2048, the no-compiler HF cells fall on
 # both sides of batch.numpy_hf_method (the argmax frontier up to N=512,
 # the heapq oracle from N=1024); the figure must be byte-identical to
-# the compiled kernels' either way.
+# the compiled kernels' either way.  figure5 (U[0.1,0.5]) and table1
+# (U[0.01,0.5]) take the seeded native path, which samples rows in C;
+# distributions puts that path beside Beta and Discrete samplers, which
+# sample numpy rows for the native kernels.
+# figure5 and table1 also write their full-precision CSV, compared too
+# (both runs write the same path, so their stdout names the same file).
 fig_native=$(mktemp)
 fig_numpy=$(mktemp)
-python -m repro.experiments.cli figure5 --trials 64 --max-n 2048 > "$fig_native"
-REPRO_NO_NATIVE=1 python -m repro.experiments.cli figure5 --trials 64 --max-n 2048 > "$fig_numpy"
-if ! cmp -s "$fig_native" "$fig_numpy"; then
-    echo "figure5 differs between the native kernels and REPRO_NO_NATIVE=1" >&2
-    diff "$fig_native" "$fig_numpy" >&2 || true
-    exit 1
-fi
-rm -f "$fig_native" "$fig_numpy"
+csv_native=$(mktemp)
+csv=$(mktemp)
+for run in "figure5 --trials 64 --max-n 2048 --csv $csv" \
+           "table1 --trials 32 --max-n 1024 --csv $csv" \
+           "distributions --trials 32 --max-n 128"; do
+    : > "$csv"
+    # shellcheck disable=SC2086  # $run is the subcommand and its flags
+    python -m repro.experiments.cli $run > "$fig_native"
+    cp "$csv" "$csv_native"
+    : > "$csv"
+    # shellcheck disable=SC2086
+    REPRO_NO_NATIVE=1 python -m repro.experiments.cli $run > "$fig_numpy"
+    if ! cmp -s "$fig_native" "$fig_numpy" || ! cmp -s "$csv_native" "$csv"; then
+        echo "${run%% *} differs between the native kernels and REPRO_NO_NATIVE=1" >&2
+        diff "$fig_native" "$fig_numpy" >&2 || true
+        diff "$csv_native" "$csv" >&2 || true
+        exit 1
+    fi
+done
+rm -f "$fig_native" "$fig_numpy" "$csv_native" "$csv"
 
 echo "== smoke: bench_compare self-diff =="
 # A benchmark artifact compared against itself must report no regression.
