@@ -1,13 +1,12 @@
-"""Sweep execution modes at N = 2^16: process pool, thread pool, serial.
+"""Sweep execution modes at N = 2^16: process pool and serial.
 
-A sweep's chunks run one of three ways: a process pool
-(``n_jobs > 1``, ``backend="processes"``), a thread pool over the
-GIL-releasing native kernels (``backend="threads"``), or serially in the
-parent with the kernels threading internally (``n_jobs=1``,
-``REPRO_NATIVE_THREADS``).  Pools pin the kernels to one thread per
-chunk, and every chunk samples its own draws where it runs.
+A sweep's chunks run one of two ways: on a process pool (``n_jobs > 1``)
+or serially in the parent with the kernels threading internally
+(``n_jobs=1``, ``REPRO_NATIVE_THREADS``).  The pool pins the kernels to
+one thread per chunk, and every chunk samples its own draws where it
+runs.
 
-This bench times the three on one Figure 5 cell set (U[0.1, 0.5],
+This bench times the two on one Figure 5 cell set (U[0.1, 0.5],
 N = 65536, 64 trials in chunks of 16, HF/BA-HF/BA), two workers or two
 kernel threads each.  Every run is a fresh interpreter that first runs a
 small warm-up sweep, then times one full ``run_sweep`` call (pool start
@@ -39,11 +38,10 @@ CHUNK_SIZE = 16
 WORKERS = 2
 SEEDS = (1, 2)
 ROUNDS = 10
-#: mode -> (n_jobs, backend, in-kernel threads; pools pin them to 1)
+#: mode -> (n_jobs, in-kernel threads; the pool pins them to 1)
 MODES = {
-    "processes": (WORKERS, "processes", 1),
-    "threads": (WORKERS, "threads", 1),
-    "serial": (1, "processes", WORKERS),
+    "processes": (WORKERS, 1),
+    "serial": (1, WORKERS),
 }
 
 
@@ -62,13 +60,10 @@ def run_one(mode, *, seed):
     """One warm-up sweep, then one timed sweep, in this process."""
     from repro.experiments.runner import run_sweep
 
-    n_jobs, backend, _ = MODES[mode]
-    run_sweep(
-        _config(seed, n_jobs, n_values=(8,), n_trials=2, chunk_size=1),
-        backend=backend,
-    )
+    n_jobs, _ = MODES[mode]
+    run_sweep(_config(seed, n_jobs, n_values=(8,), n_trials=2, chunk_size=1))
     start = time.perf_counter()
-    result = run_sweep(_config(seed, n_jobs), backend=backend)
+    result = run_sweep(_config(seed, n_jobs))
     wall = time.perf_counter() - start
     return {
         "wall_s": wall,
@@ -86,7 +81,7 @@ def _spawn(mode, seed):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    env["REPRO_NATIVE_THREADS"] = str(MODES[mode][2])
+    env["REPRO_NATIVE_THREADS"] = str(MODES[mode][1])
     out = subprocess.run(
         [sys.executable, __file__, "--one", mode, str(seed)],
         env=env, check=True, capture_output=True, text=True,
@@ -110,12 +105,11 @@ def measure(rounds=ROUNDS, seeds=SEEDS):
                     flush=True,
                 )
     entries = {}
-    for mode, (n_jobs, backend, threads) in MODES.items():
+    for mode, (n_jobs, threads) in MODES.items():
         rates = [x["trials_per_s"] for x in runs if x["mode"] == mode]
         q1, _, q3 = statistics.quantiles(rates, n=4) if len(rates) > 1 else rates * 3
         entries[mode] = {
             "n_jobs": n_jobs,
-            "backend": backend,
             "kernel_threads": threads,
             "runs": len(rates),
             "trials_per_s": statistics.median(rates),

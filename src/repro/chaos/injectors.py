@@ -1,23 +1,22 @@
 """Fault injectors: act out a :class:`~repro.chaos.plan.ChaosPlan`.
 
 :func:`chaos_call` is the single choke point -- the supervised executor
-wraps every chunk invocation (pooled, threaded, or in-parent) in it, so
-a fault fires at the same place no matter where the chunk runs.  The
-function is module-level and its arguments are all picklable, which is
+wraps every chunk invocation (pooled or in-parent) in it, so a fault
+fires at the same place no matter where the chunk runs.  The function is module-level and its arguments are all picklable, which is
 what lets a process pool ship it to workers unchanged.
 
 Fault semantics:
 
 * ``kill`` -- the worker SIGKILLs **itself** mid-chunk.  This is a real
   fail-stop: the pool breaks (``BrokenProcessPool``) and the supervisor
-  must rebuild it.  In-process execution (threads backend, in-parent
-  retries) cannot survive killing its own process, so there the kill is
-  demoted to a transient exception -- the schedule stays identical, only
-  the blast radius shrinks.
+  must rebuild it.  In-parent execution (``n_jobs == 1``, or a run
+  degraded to the parent) cannot survive killing its own process, so
+  there the kill is demoted to a transient exception -- the schedule
+  stays identical, only the blast radius shrinks.
 * ``hang`` -- the worker sleeps ``hang_seconds`` *before* computing.
   With a chunk deadline shorter than the hang, the supervisor sees an
   over-deadline chunk and must recover; without one, the chunk is merely
-  late.  The sleep is finite so abandoned thread attempts always drain.
+  late.
 * ``transient`` -- raises :class:`ChaosTransientError` (retryable).
 * ``delay`` -- computes the result, then sleeps ``delay_seconds``
   before returning it (a late, correct result).
@@ -53,9 +52,9 @@ def chaos_call(
 ) -> Any:
     """Run ``worker(task)`` with the plan's fault for ``(key, attempt)``.
 
-    ``in_process=True`` means the call shares the supervisor's process
-    (threads backend or in-parent execution): ``kill`` faults demote to
-    :class:`ChaosTransientError` there, everything else is identical.
+    ``in_process=True`` means the call runs in the supervisor's own
+    process: ``kill`` faults demote to :class:`ChaosTransientError`
+    there, everything else is identical.
     """
     kind = plan.fault_for(key, attempt)
     if kind == "kill":

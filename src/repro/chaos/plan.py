@@ -9,7 +9,7 @@ SplitMix64 child streams exactly like :func:`repro.resilience.faults.
 fault_plan_for` draws simulated crashes.  The supervised executor in
 :mod:`repro.experiments.checkpoint` consults the plan once per chunk
 attempt, so a given ``(config, keys, seed)`` triple always injects the
-same faults in the same places, no matter the backend or worker count.
+same faults in the same places, pooled or serial, for any worker count.
 
 Design rules (shared with ``repro.resilience.faults``):
 

@@ -59,7 +59,6 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait as futures_wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -494,7 +493,7 @@ def _process_worker_init() -> None:
 
 
 def _pool_worker_pids(pool: Any) -> List[int]:
-    """PIDs of a process pool's live workers ([] for thread pools)."""
+    """PIDs of a process pool's live workers."""
     procs = getattr(pool, "_processes", None)
     if not procs:
         return []
@@ -512,7 +511,6 @@ def execute_chunks(
     decode: Optional[Callable[[Any], Any]] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
-    backend: str = "processes",
     chaos: Optional[Union[ChaosSpec, ChaosPlan]] = None,
     report: Optional[RunReport] = None,
     strict: bool = True,
@@ -528,11 +526,8 @@ def execute_chunks(
       executed -- their results are decoded from the journal payloads
       (bit-exact: payloads are produced by ``encode`` and JSON floats
       round-trip);
-    * fresh chunks run on a pool when ``n_jobs > 1``: a
-      ``ProcessPoolExecutor`` for ``backend="processes"`` or a
-      ``ThreadPoolExecutor`` for ``backend="threads"`` (the hot loops
-      release the GIL inside the native kernels, so threads parallelise
-      without pickling);
+    * fresh chunks run on a ``ProcessPoolExecutor`` when ``n_jobs > 1``
+      and serially in the parent otherwise;
     * the pool is *supervised*: a dead pool (``BrokenProcessPool``) is
       torn down -- already-finished futures are harvested and journaled
       first, worker processes are killed and reaped so no orphans
@@ -560,7 +555,7 @@ def execute_chunks(
       returned, so a crash at any point loses at most the in-flight
       chunks.
 
-    Results are bit-identical across backends and worker counts: the
+    Results are bit-identical across worker counts, pooled or serial: the
     task list, chunk layout, and merge order are fixed by the caller
     before any pool exists.  On the fault-free path the chunk layout,
     merge order, and journal payload encoding are exactly those of the
@@ -570,10 +565,6 @@ def execute_chunks(
         raise ValueError(f"{len(tasks)} tasks but {len(keys)} keys")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    if backend not in ("processes", "threads"):
-        raise ValueError(
-            f"unknown backend {backend!r} (use 'processes' or 'threads')"
-        )
     # Unset knobs fall back to the REPRO_BACKOFF_BASE / REPRO_BACKOFF_CAP /
     # REPRO_POOL_REBUILDS environment overrides (read per call, so a
     # long-lived service tightens them without a restart), then to the
@@ -713,7 +704,6 @@ def execute_chunks(
                 keys=keys,
                 worker=worker,
                 n_jobs=n_jobs,
-                backend=backend,
                 timeout=timeout,
                 plan=plan,
                 rep=rep,
@@ -748,7 +738,6 @@ def _supervise_pool(
     keys: Sequence[str],
     worker: Callable[[Any], Any],
     n_jobs: int,
-    backend: str,
     timeout: Optional[float],
     plan: Optional[ChaosPlan],
     rep: RunReport,
@@ -765,11 +754,8 @@ def _supervise_pool(
     last_exception: List[Optional[BaseException]],
 ) -> None:
     """The pooled supervisor loop behind :func:`execute_chunks`."""
-    in_process_faults = backend == "threads"
 
     def make_pool() -> Any:
-        if backend == "threads":
-            return ThreadPoolExecutor(max_workers=n_jobs)
         # Load the native kernels before the workers fork: each inherits
         # the handle and the self-check result instead of probing the
         # compiler and loading the library itself (a no-op under
@@ -798,7 +784,7 @@ def _supervise_pool(
         if plan is not None:
             fut = pool.submit(
                 chaos_call, worker, tasks[idx], plan, keys[idx],
-                attempts[idx], in_process_faults,
+                attempts[idx], in_process=False,
             )
         else:
             fut = pool.submit(worker, tasks[idx])
@@ -829,16 +815,11 @@ def _supervise_pool(
         if not pool_alive:
             return
         note_worker_pids()
-        procs = (
-            list(getattr(pool, "_processes", {}).values())
-            if backend == "processes"
-            else []
-        )
-        # a hung worker (or thread) must not be joined; otherwise wait
-        # so the executor reaps its own children
-        blocked = kill or (backend == "threads" and rep.timeouts > 0)
-        pool.shutdown(wait=not blocked, cancel_futures=True)
-        if kill and backend == "processes":
+        procs = list(getattr(pool, "_processes", {}).values())
+        # a hung worker must not be joined; otherwise wait so the
+        # executor reaps its own children
+        pool.shutdown(wait=not kill, cancel_futures=True)
+        if kill:
             for proc in procs:
                 if proc.pid is None:
                     continue
@@ -954,18 +935,7 @@ def _supervise_pool(
                         if now - started[idx] <= timeout:
                             continue
                         rep.timeouts += 1
-                        if backend == "threads":
-                            # a thread cannot be killed: abandon this
-                            # attempt (the late result, if any, is
-                            # discarded via the finished-set guard)
-                            del inflight[fut]
-                            started.pop(idx, None)
-                            schedule(
-                                idx,
-                                fail(idx, f"chunk exceeded {timeout}s deadline", None),
-                            )
-                        else:
-                            hung.append(idx)
+                        hung.append(idx)
 
             if pool_broken or hung:
                 harvest_done()

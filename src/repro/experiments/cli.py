@@ -2,8 +2,7 @@
 
 Usage (installed as ``repro-experiments``, or ``python -m repro.experiments``):
 
-    repro-experiments table1   [--trials T] [--max-n N] [--jobs J]
-                               [--backend processes|threads] [--csv F]
+    repro-experiments table1   [--trials T] [--max-n N] [--jobs J] [--csv F]
     repro-experiments figure5  [--trials T] [--max-n N] [--jobs J] [--csv F]
     repro-experiments lambda   [--trials T] [--max-n N] [--jobs J]
     repro-experiments variance [--trials T] [--max-n N] [--jobs J]
@@ -32,8 +31,9 @@ default; only for testing the harness itself.  ``--deadline SECONDS``
 cancels a table1/figure5 sweep gracefully.
 
 An experiment given a flag it does not read (``--journal`` on
-``runtime``, ``--backend`` on ``worstcase``, ...) is a usage error
-(exit 2), never a silently ignored flag.
+``runtime``, ``--engine`` on ``worstcase``, ...) is a usage error
+(exit 2), never a silently ignored flag; so is a count or a duration
+out of its range (``--trials 0``, ``--jobs 0``, ``--deadline -1``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.experiments.config import (
-    BACKENDS,
     DEFAULT_N_VALUES,
     ENGINES,
     PAPER_N_VALUES,
@@ -81,6 +80,7 @@ from repro.experiments.worstcase_study import (
     render_worstcase_study,
     run_worstcase_study,
 )
+from repro.utils.argtypes import number_arg
 
 __all__ = ["main", "build_parser"]
 
@@ -106,7 +106,6 @@ FLAG_READERS = {
     + ("runtime", "fault", "topology", "distributions", "report", "all"),
     ("jobs",): _GRID_STUDIES
     + ("nonpow2", "runtime", "fault", "topology", "distributions", "report", "all"),
-    ("backend",): ("table1", "figure5", "runtime", "topology", "all"),
     ("engine",): ("runtime", "topology", "all"),
     ("csv",): ("table1", "figure5", "fault", "all"),
     ("json",): ("table1", "figure5", "all"),
@@ -132,21 +131,6 @@ def _parse_fault_rates(text: str) -> tuple:
                 f"fault rates must be in [0, 1], got {rate!r}"
             )
     return rates
-
-
-def _parse_alpha(text: str) -> float:
-    """A bisection guarantee in (0, 1/2]; argparse-friendly errors."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number in (0, 0.5], got {text!r}"
-        ) from None
-    if value != value or not (0.0 < value <= 0.5):
-        raise argparse.ArgumentTypeError(
-            f"alpha must be in (0, 0.5], got {text!r}"
-        )
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,22 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
             "repair|compact FILE' maintains chunk journals)"
         ),
     )
-    parser.add_argument("--trials", type=int, default=None, help="trials per cell")
+    parser.add_argument(
+        "--trials",
+        type=number_arg(int, "--trials", lambda v: v >= 1, "an integer >= 1"),
+        default=None,
+        help="trials per cell",
+    )
     parser.add_argument(
         "--max-n", type=int, default=None, help="largest processor count"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default="processes",
-        help=(
-            "parallel backend for --jobs > 1 on the chunked runners "
-            "(table1/figure5/runtime/topology): worker processes "
-            "('processes', default) or an in-process thread pool "
-            "('threads'; the native kernels release the GIL).  Results "
-            "are bit-identical either way"
-        ),
+        "--jobs",
+        type=number_arg(int, "--jobs", lambda v: v >= 1, "an integer >= 1"),
+        default=1,
+        help="worker processes (1 runs every chunk in this process)",
     )
     parser.add_argument("--seed", type=int, default=20260706)
     parser.add_argument(
@@ -241,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--alpha",
-        type=_parse_alpha,
+        type=number_arg(float, "--alpha", lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
         default=None,
         help=(
             "fix the bisection parameter to a single value in (0, 0.5] "
@@ -286,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--deadline",
-        type=float,
+        type=number_arg(float, "--deadline", lambda v: v > 0, "a number > 0"),
         default=None,
         metavar="SECONDS",
         help=(
@@ -394,7 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.experiment in ("table1", "all"):
             result = run_table1(
                 **kw,
-                backend=args.backend,
                 **journal_kw,
                 **supervise_kw,
             )
@@ -404,7 +385,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.experiment in ("figure5", "all"):
             result = run_figure5(
                 **kw,
-                backend=args.backend,
                 **journal_kw,
                 **supervise_kw,
             )
@@ -450,7 +430,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     seed=args.seed,
                     engine=args.engine,
                     n_jobs=args.jobs,
-                    backend=args.backend,
                 )
             )
         )
@@ -495,7 +474,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     seed=args.seed,
                     engine=args.engine,
                     n_jobs=args.jobs,
-                    backend=args.backend,
                 )
             )
         )

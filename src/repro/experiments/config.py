@@ -25,14 +25,12 @@ __all__ = [
     "DEFAULT_BACKOFF_BASE",
     "DEFAULT_BACKOFF_CAP",
     "DEFAULT_POOL_REBUILDS",
-    "BACKENDS",
     "ENGINES",
     "StochasticConfig",
     "default_backoff_base",
     "default_backoff_cap",
     "default_pool_rebuilds",
     "full_scale_requested",
-    "normalize_backend",
     "normalize_engine",
 ]
 
@@ -135,25 +133,6 @@ def normalize_engine(engine: str) -> str:
         raise ValueError(f"unknown engine {engine!r} (known: {list(ENGINES)})")
     return key
 
-
-#: Parallel execution backends for the chunked runners.  ``"processes"``
-#: fans chunks out over a ProcessPoolExecutor (pickled task tuples);
-#: ``"threads"`` runs chunks on a thread pool in-process -- the hot
-#: loops are NumPy's sampling fills and ctypes calls into the native
-#: kernels, which release the GIL, so threads scale without pickling.
-#: Under both, each chunk samples its own draws.  Chunk layout and
-#: merge order depend only on the config, so both backends (and serial)
-#: produce bit-identical results and share journal fingerprints (a
-#: journal written under one backend resumes under the other).
-BACKENDS: Tuple[str, ...] = ("processes", "threads")
-
-
-def normalize_backend(backend: str) -> str:
-    """Canonical backend key; raises on unknown names."""
-    key = backend.lower()
-    if key not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (known: {list(BACKENDS)})")
-    return key
 
 #: The paper's processor counts: N = 2^k for k = 5..20.
 PAPER_N_VALUES: Tuple[int, ...] = tuple(2**k for k in range(5, 21))

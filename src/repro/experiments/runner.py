@@ -15,9 +15,9 @@ chunk is one work unit for the supervised executor
 cell cannot straggle a parallel run.  Trial ``t`` derives its generator
 from ``(seed, algorithm, N, t)``, so a chunk computes exactly the values
 a serial pass would.  The chunk layout and the merge order depend on the
-cells and the chunk size alone, never on ``n_jobs`` or the backend, so
-results are bit-identical for any worker count and journals resume
-under either backend.
+cells and the chunk size alone, never on ``n_jobs``, so results are
+bit-identical for any worker count, pooled or serial, and a journal
+written in one mode resumes in the other.
 
 Draw transport.  There is none: each chunk samples its own rows
 (:func:`~repro.experiments.stochastic.draw_rows`) in the worker that
@@ -42,11 +42,7 @@ import numpy as np
 from repro.core.bounds import bound_for
 from repro.core.metrics import RatioAccumulator, RatioSample, summarize_ratios
 from repro.experiments.checkpoint import ChunkJournal, execute_chunks
-from repro.experiments.config import (
-    DEFAULT_CHUNK_RETRIES,
-    StochasticConfig,
-    normalize_backend,
-)
+from repro.experiments.config import DEFAULT_CHUNK_RETRIES, StochasticConfig
 from repro.experiments.stochastic import trial_ratios
 from repro.problems.samplers import AlphaSampler
 
@@ -184,7 +180,6 @@ def run_cells(
     fingerprint: Dict[str, Any],
     encode: Callable[[Any], Any],
     decode: Callable[[Any], Any],
-    backend: str = "processes",
     journal_path: Optional["str | os.PathLike[str]"] = None,
     resume: bool = False,
     chunk_timeout: Optional[float] = None,
@@ -215,7 +210,6 @@ def run_cells(
         raise ValueError(f"duplicate cells: {', '.join(repeated)}")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    backend = normalize_backend(backend)
     chunks = chunk_bounds(n_trials, chunk_size)
     keys = [f"{label}:{start}" for label in cells for start, _ in chunks]
     tasks = [task(i, start, stop) for i in range(len(cells)) for start, stop in chunks]
@@ -235,7 +229,6 @@ def run_cells(
             decode=decode,
             timeout=chunk_timeout,
             retries=DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries,
-            backend=backend,
             **supervise,
         )
     finally:
@@ -326,18 +319,16 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every (algorithm, N) cell of ``config``.
 
-    ``backend`` selects how parallel chunks execute when
-    ``config.n_jobs > 1``: ``"processes"`` (the default process pool)
-    or ``"threads"`` (a thread pool over the GIL-releasing native
-    kernels, no pickling; see :data:`~repro.experiments.config.BACKENDS`).
-    Either way each chunk samples its own draws in its worker.  Records
-    are bit-identical across backends and worker counts.
+    Chunks run on a process pool when ``config.n_jobs > 1`` and
+    serially in the parent otherwise; either way each chunk samples its
+    own draws where it runs.  Records are bit-identical across worker
+    counts.  ``backend`` accepts only ``"processes"``.
 
     ``journal_path`` enables crash-safe execution: each completed trial
     chunk is durably appended to a JSONL journal, and ``resume=True``
     replays completed chunks from an existing journal instead of
-    recomputing them -- bit-identically, for any ``n_jobs`` *and either
-    backend* (the fingerprint covers neither -- see
+    recomputing them -- bit-identically, for any ``n_jobs``, pooled or
+    serial (the fingerprint does not cover it -- see
     :mod:`repro.experiments.checkpoint`).  ``chunk_timeout`` bounds one
     chunk's *runtime*, measured from the chunk's observed start; a
     timed-out, crashed, or raising chunk is retried -- with exponential
@@ -357,6 +348,13 @@ def run_sweep(
     flushing completed chunks to the journal (see
     :func:`~repro.experiments.checkpoint.execute_chunks`).
     """
+    # perfbench/workloads.py still passes backend="processes"; ROADMAP
+    # item 1 step 2 drops the keyword.
+    if backend != "processes":
+        raise ValueError(
+            f"unknown backend {backend!r}: chunks run only on a process pool"
+            " ('processes')"
+        )
     cells = [(algo, n) for algo in config.algorithms for n in config.n_values]
     # Pool runs pin the kernels to one thread per chunk worker (worker- and
     # kernel-level parallelism must not multiply); serial runs let the
@@ -375,7 +373,6 @@ def run_sweep(
         fingerprint=sweep_fingerprint(config),
         encode=_encode_sweep_chunk,
         decode=_decode_sweep_chunk,
-        backend=backend,
         journal_path=journal_path,
         resume=resume,
         chunk_timeout=chunk_timeout,

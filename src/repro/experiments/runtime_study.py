@@ -27,8 +27,8 @@ Trial ``t`` of cell ``(algorithm, N)`` derives its generator from
 (:func:`repro.experiments.stochastic.trial_ratios`), and
 :func:`run_study_cells` runs the cells through the chunked-cell pipeline
 :func:`~repro.experiments.runner.run_cells` (chunking, journal,
-supervised execution).  Results are bit-identical for any ``n_jobs``
-and backend, and identical between the two engines wherever the
+supervised execution).  Results are bit-identical for any ``n_jobs``,
+pooled or serial, and identical between the two engines wherever the
 fastpath applies.
 """
 
@@ -311,7 +311,6 @@ def run_study_cells(
     engine: str = "fastpath",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: str = "processes",
     journal_path: Optional["str | os.PathLike[str]"] = None,
     resume: bool = False,
     chunk_timeout: Optional[float] = None,
@@ -323,19 +322,18 @@ def run_study_cells(
     tuples with distinct cell keys (a repeated key raises
     :class:`ValueError`).  They run through
     :func:`~repro.experiments.runner.run_cells` in ``chunk_size``-trial
-    chunks, over a process pool (``backend="processes"``) or a thread
-    pool over the GIL-releasing native kernels (``backend="threads"``)
-    when ``n_jobs > 1``.  Each cell's chunk matrices are concatenated in
+    chunks, over a process pool when ``n_jobs > 1`` and serially in the
+    parent otherwise.  Each cell's chunk matrices are concatenated in
     chunk-start order, so the returned ``(n_trials,
     len(METRIC_COLUMNS))`` matrices are bit-identical for any worker
-    count and either backend.
+    count.
 
     ``journal_path``/``resume``/``chunk_timeout``/``chunk_retries``
     enable the crash-safe execution mode of
     :mod:`repro.experiments.checkpoint`: completed chunks are durably
     journaled and a resumed run replays them bit-identically -- the
-    fingerprint covers neither ``n_jobs`` nor ``backend``, so a journal
-    written under one backend resumes under the other.
+    fingerprint does not cover ``n_jobs``, so a journal written pooled
+    resumes serially and vice versa.
     """
     engine = normalize_engine(engine)
     size = chunk_size if chunk_size is not None else DEFAULT_STUDY_CHUNK_SIZE
@@ -367,7 +365,6 @@ def run_study_cells(
         ),
         encode=encode_matrix_chunk,
         decode=decode_matrix_chunk,
-        backend=backend,
         journal_path=journal_path,
         resume=resume,
         chunk_timeout=chunk_timeout,
@@ -397,13 +394,12 @@ def run_runtime_study(
     engine: str = "fastpath",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: str = "processes",
 ) -> RuntimeStudyResult:
     """Evaluate each algorithm on ``n_repeats`` random instances per N.
 
     Reported values are means over the repeats (the machine is
     deterministic; only the problem instance varies).  ``engine``,
-    ``n_jobs``, ``chunk_size`` and ``backend`` select the evaluation
+    ``n_jobs`` and ``chunk_size`` select the evaluation
     engine and the trial-chunked parallel schedule; none of them changes
     the numbers (the fastpath is bit-identical to the DES, and the chunk
     merge order is fixed).
@@ -425,7 +421,6 @@ def run_runtime_study(
         engine=engine,
         n_jobs=n_jobs,
         chunk_size=chunk_size,
-        backend=backend,
     )
     records: List[RuntimeRecord] = []
     for n in n_values:

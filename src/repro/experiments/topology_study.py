@@ -104,7 +104,6 @@ def run_topology_study(
     engine: str = "fastpath",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
-    backend: str = "processes",
 ) -> TopologyStudyResult:
     """Evaluate each algorithm on each topology (means over repeats).
 
@@ -114,8 +113,7 @@ def run_topology_study(
     like with like.  ``engine="fastpath"`` uses the closed-form kernels
     for HF/BA/BA-HF (topology-aware) and falls back to the DES for PHF,
     whose on-line phase 2 has no closed form on a topology; both engines
-    report bit-identical numbers for any ``n_jobs`` and either
-    ``backend`` (``"processes"`` or ``"threads"``).
+    report bit-identical numbers for any ``n_jobs``.
     """
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
@@ -138,7 +136,6 @@ def run_topology_study(
         engine=engine,
         n_jobs=n_jobs,
         chunk_size=chunk_size,
-        backend=backend,
     )
     col = {name: j for j, name in enumerate(METRIC_COLUMNS)}
     records: List[TopologyRecord] = []

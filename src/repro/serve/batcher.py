@@ -134,7 +134,6 @@ class BatchEngine:
         report: ServeReport,
         breaker: Optional[CircuitBreaker] = None,
         workers: int = 1,
-        backend: str = "processes",
         retries: int = 3,
         chaos: Optional[ChaosSpec] = None,
         chaos_batches: int = 0,
@@ -151,7 +150,6 @@ class BatchEngine:
         self.report = report
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.workers = workers
-        self.backend = backend
         self.retries = retries
         self.chaos = chaos
         self.chaos_batches = chaos_batches
@@ -246,7 +244,6 @@ class BatchEngine:
             n_jobs=self.workers if native else 1,
             timeout=timeout,
             retries=self.retries,
-            backend=self.backend,
             chaos=chaos,
             report=rep,
             strict=False,

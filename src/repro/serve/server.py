@@ -19,7 +19,7 @@ the report is written atomically, and the process exits 0.
 Run it::
 
     python -m repro.serve --port 0            # ephemeral port, printed
-    repro-serve --workers 2 --backend processes --chaos-profile smoke
+    repro-serve --workers 2 --chaos-profile smoke
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.chaos import CHAOS_PROFILES, ChaosSpec
 from repro.experiments.io import write_atomic
@@ -40,6 +40,7 @@ from repro.serve.batcher import BatchEngine, BatchFailedError, MicroBatcher
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.protocol import PartitionRequest, ProtocolError
 from repro.serve.report import ServeReport
+from repro.utils.argtypes import number_arg
 
 __all__ = ["PartitionServer", "ServeConfig", "main"]
 
@@ -66,7 +67,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8642
     workers: int = 1
-    backend: str = "processes"
     retries: int = 3
     max_batch: int = 64
     max_inflight: int = 512
@@ -97,7 +97,6 @@ class PartitionServer:
             report=self.report,
             breaker=self.breaker,
             workers=config.workers,
-            backend=config.backend,
             retries=config.retries,
             chaos=config.chaos,
             chaos_batches=config.chaos_batches if config.chaos else 0,
@@ -318,6 +317,14 @@ class PartitionServer:
 # ----------------------------------------------------------------------
 
 
+def _at_least(flag: str, low: int) -> Callable[[str], int]:
+    return number_arg(int, flag, lambda v: v >= low, f">= {low}")
+
+
+def _positive(flag: str) -> Callable[[str], float]:
+    return number_arg(float, flag, lambda v: v > 0, "> 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
@@ -325,46 +332,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
-        "--port", type=int, default=8642, help="0 picks an ephemeral port"
+        "--port",
+        type=number_arg(int, "--port", lambda v: 0 <= v <= 65535, "in [0, 65535]"),
+        default=8642, help="0 picks an ephemeral port",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_at_least("--workers", 1), default=1,
         help="kernel worker pool size (1 = inline dispatch, no pool)",
     )
     parser.add_argument(
-        "--backend", choices=("processes", "threads"), default="processes"
+        "--retries", type=_at_least("--retries", 0), default=3,
+        help="kernel attempts per batch group",
     )
     parser.add_argument(
-        "--retries", type=int, default=3, help="kernel attempts per batch group"
+        "--max-batch", type=_at_least("--max-batch", 1), default=64,
+        help="most requests per batch",
     )
     parser.add_argument(
-        "--max-batch", type=int, default=64, help="most requests per batch"
-    )
-    parser.add_argument(
-        "--max-inflight", type=int, default=512,
+        "--max-inflight", type=_at_least("--max-inflight", 1), default=512,
         help="admission control: concurrent requests before shedding",
     )
     parser.add_argument(
-        "--p99-budget-ms", type=float, default=None,
+        "--p99-budget-ms", type=_positive("--p99-budget-ms"), default=None,
         help="admission control: shed while rolling p99 exceeds this",
     )
     parser.add_argument(
-        "--default-deadline-s", type=float, default=30.0,
-        help="deadline for requests that do not send deadline_ms",
+        "--default-deadline-s", type=_positive("--default-deadline-s"),
+        default=30.0, help="deadline for requests that do not send deadline_ms",
     )
     parser.add_argument(
-        "--hedge-after-ms", type=float, default=None,
+        "--hedge-after-ms", type=_positive("--hedge-after-ms"), default=None,
         help="duplicate a straggling batch onto the inline path after this",
     )
-    parser.add_argument("--breaker-threshold", type=int, default=3)
-    parser.add_argument("--breaker-reset-s", type=float, default=5.0)
+    parser.add_argument(
+        "--breaker-threshold", type=_at_least("--breaker-threshold", 1),
+        default=3,
+    )
+    parser.add_argument(
+        "--breaker-reset-s", type=_positive("--breaker-reset-s"), default=5.0
+    )
     parser.add_argument(
         "--chaos-profile", choices=sorted(CHAOS_PROFILES), default=None,
         help="inject deterministic faults into the first batches (testing)",
     )
     parser.add_argument("--chaos-seed", type=int, default=0)
     parser.add_argument(
-        "--chaos-batches", type=int, default=4,
+        "--chaos-batches", type=_at_least("--chaos-batches", 0), default=4,
         help="number of leading batches the chaos schedule applies to",
     )
     parser.add_argument(
@@ -384,16 +397,15 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        backend=args.backend,
         retries=args.retries,
         max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         p99_budget_s=(
-            args.p99_budget_ms / 1000.0 if args.p99_budget_ms else None
+            None if args.p99_budget_ms is None else args.p99_budget_ms / 1000.0
         ),
         default_deadline_s=args.default_deadline_s,
         hedge_after_s=(
-            args.hedge_after_ms / 1000.0 if args.hedge_after_ms else None
+            None if args.hedge_after_ms is None else args.hedge_after_ms / 1000.0
         ),
         breaker_threshold=args.breaker_threshold,
         breaker_reset_s=args.breaker_reset_s,
@@ -418,13 +430,6 @@ async def _amain(config: ServeConfig) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    for name in ("workers", "max_batch", "max_inflight"):
-        if getattr(args, name) < 1:
-            print(f"--{name.replace('_', '-')} must be >= 1", file=sys.stderr)
-            return 2
-    if args.retries < 0:
-        print("--retries must be >= 0", file=sys.stderr)
-        return 2
     return asyncio.run(_amain(config_from_args(args)))
 
 

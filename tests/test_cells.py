@@ -9,10 +9,10 @@ owes each of them:
 * ``tests/data/journals/{sweep,study,fault}.jsonl`` -- complete journals
   written by the runners before they shared ``run_cells`` -- resume
   without recomputing a single chunk and give a fresh run's results;
-* serial, pooled (processes, and threads where the runner has a backend)
-  and resumed-from-a-torn-journal runs agree exactly;
-* a pooled run samples its draws in the workers only: the parent calls
-  no ``draw_rows`` and publishes no ``/dev/shm`` segment, and study
+* serial, pooled and resumed-from-a-torn-journal runs agree exactly;
+* a pooled run samples its draws in the workers only: the parent
+  samples no row (a serial run, which does, proves the spy is on the
+  sampling path) and publishes no ``/dev/shm`` segment, and study
   cells that share ``(algorithm, N)`` across machine configs still give
   the serial matrices byte for byte.
 
@@ -25,10 +25,8 @@ trusted) with::
 from __future__ import annotations
 
 import glob
-import os
 import shutil
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -147,8 +145,7 @@ def test_golden_journal_resumes_without_recomputation(name, tmp_path, monkeypatc
 MODES = [
     (name, mode)
     for name in sorted(RUNNERS)
-    for mode in ("processes", "threads", "resume")
-    if not (name == "fault" and mode == "threads")  # fault study: no backend
+    for mode in ("processes", "resume")
 ]
 
 
@@ -164,44 +161,39 @@ def test_serial_pooled_and_resumed_runs_agree(name, mode, tmp_path):
         journal.write_text("".join(lines[:keep]) + '{"kind": "chu')  # torn tail
         assert run(n_jobs=2, journal_path=journal, resume=True) == serial
     else:
-        kw = {} if mode == "processes" else {"backend": "threads"}
-        assert run(n_jobs=2, **kw) == serial
+        assert run(n_jobs=2) == serial
 
 
-POOLED = [
-    (name, backend)
-    for name in sorted(RUNNERS)
-    for backend in ("processes", "threads")
-    if not (name == "fault" and backend == "threads")  # fault study: no backend
-]
+POOLED = [(name, "processes") for name in sorted(RUNNERS)]
 
 
 def _segments():
     return set(glob.glob("/dev/shm/repro_draws_*"))
 
 
-@pytest.mark.parametrize("name, backend", POOLED)
-def test_pooled_runs_sample_in_workers_only(name, backend, monkeypatch):
-    parent = (os.getpid(), threading.get_ident())
-    calls = {"parent": 0, "threads": 0}
+@pytest.mark.parametrize("name, pool", POOLED)
+def test_pooled_runs_sample_in_workers_only(name, pool, monkeypatch):
+    calls = {"parent": 0}
 
     def counted(real):
         def sample(*args, **kwargs):
             # Forked workers count in their own copy of ``calls``, so only
-            # the parent process's calls land here; pool threads count apart.
-            if os.getpid() == parent[0]:
-                calls["parent" if threading.get_ident() == parent[1] else "threads"] += 1
+            # the parent process's calls land here.
+            calls["parent"] += 1
             return real(*args, **kwargs)
         return sample
 
     # Rows are sampled by draw_rows, or inside the kernel for the
-    # seeded path (UniformAlpha sweeps with the native kernels).
+    # seeded path (UniformAlpha sweeps with the native kernels); the
+    # fault study draws lazily from one SyntheticProblem per trial.
     draw_rows = counted(stochastic.draw_rows)
     for module in (stochastic, runner, runtime_study, fault_study):
         if hasattr(module, "draw_rows"):
             monkeypatch.setattr(module, "draw_rows", draw_rows)
     monkeypatch.setattr(
         _native, "seeded_ratios_native", counted(_native.seeded_ratios_native))
+    monkeypatch.setattr(
+        fault_study, "SyntheticProblem", counted(fault_study.SyntheticProblem))
     at_start = []
     real_execute = runner.execute_chunks
 
@@ -211,13 +203,12 @@ def test_pooled_runs_sample_in_workers_only(name, backend, monkeypatch):
 
     monkeypatch.setattr(runner, "execute_chunks", execute_chunks)
     before = _segments()
-    kw = {} if backend == "processes" else {"backend": "threads"}
-    RUNNERS[name][0](n_jobs=2, **kw)
+    RUNNERS[name][0](n_jobs=2)
     assert calls["parent"] == 0
-    if backend == "threads":
-        assert calls["threads"] > 0  # the spy sits on the workers' path
     assert at_start and all(live <= before for live in at_start)
     assert _segments() <= before
+    RUNNERS[name][0]()
+    assert calls["parent"] >= 1  # the spy sits on the sampling path
 
 
 #: Two machine configs per (algorithm, N): each cell samples its own
@@ -233,13 +224,10 @@ SHARED_CELLS = [
 def test_cells_sharing_algorithm_and_n_are_byte_identical(phf_phase1):
     kw = dict(n_trials=6, seed=13, chunk_size=2, phf_phase1=phf_phase1)
     serial = run_study_cells(SHARED_CELLS, UniformAlpha(0.1, 0.5), **kw)
-    for backend in ("processes", "threads"):
-        pooled = run_study_cells(
-            SHARED_CELLS, UniformAlpha(0.1, 0.5), n_jobs=2, backend=backend, **kw
-        )
-        assert list(pooled) == list(serial)
-        for key, matrix in serial.items():
-            assert pooled[key].tobytes() == matrix.tobytes(), (backend, key)
+    pooled = run_study_cells(SHARED_CELLS, UniformAlpha(0.1, 0.5), n_jobs=2, **kw)
+    assert list(pooled) == list(serial)
+    for key, matrix in serial.items():
+        assert pooled[key].tobytes() == matrix.tobytes(), key
 
 
 if __name__ == "__main__":

@@ -373,31 +373,6 @@ class TestSupervisedPool:
         assert report.timeouts == 0
         assert not report.quarantined
 
-    def test_threads_hang_is_abandoned_and_retried(self):
-        # chaos hang on attempt 0 only; the retry (attempt 1) is clean,
-        # so the chunk completes even though threads cannot be killed
-        keys = [f"k{i}" for i in range(4)]
-        config = ChaosConfig(hang_rate=0.01, hang_seconds=0.8)
-        plan = ChaosPlan(config=config, seed=0, faults=(("k1", 0, "hang"),))
-        report = RunReport()
-        out = execute_chunks(
-            [(0.01, i) for i in range(4)],
-            _sleepy,
-            keys=keys,
-            n_jobs=2,
-            backend="threads",
-            timeout=0.3,
-            retries=1,
-            chaos=plan,
-            report=report,
-            backoff_base=0.0,
-        )
-        assert out == [0, 1, 2, 3]
-        assert report.timeouts >= 1
-        assert report.retries >= 1
-        assert report.accounted
-        assert not report.quarantined
-
 
 class TestCancellation:
     def test_run_deadline_flushes_journal_first(self, tmp_path):
@@ -411,7 +386,6 @@ class TestCancellation:
                     _sleepy,
                     keys=keys,
                     n_jobs=2,
-                    backend="threads",
                     journal=journal,
                     report=report,
                     run_deadline=0.5,
@@ -434,7 +408,6 @@ class TestCancellation:
                     _sleepy,
                     keys=[f"k{i}" for i in range(4)],
                     n_jobs=2,
-                    backend="threads",
                     report=report,
                     cancel_on_sigterm=True,
                     backoff_base=0.0,

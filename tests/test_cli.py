@@ -166,6 +166,18 @@ class TestErrorPaths:
         )
         assert "(0, 0.5]" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table1", "--trials", "-3"], "--trials must be an integer >= 1"),
+            (["table1", "--trials", "0"], "--trials must be an integer >= 1"),
+            (["table1", "--jobs", "0"], "--jobs must be an integer >= 1"),
+            (["table1", "--deadline", "-1"], "--deadline must be a number > 0"),
+        ],
+    )
+    def test_out_of_range_number(self, argv, message, capsys):
+        assert message in self._argparse_error(capsys, argv + ["--max-n", "32"])
+
     def test_fault_rates_out_of_range(self, capsys):
         err = self._argparse_error(
             capsys, ["fault", "--trials", "2", "--fault-rates", "0.1,1.5"]
@@ -268,9 +280,7 @@ class TestFlagScope:
             (["worstcase", "--full"], "--full applies only to"),
             (["worstcase", "--max-n", "64"], "--max-n applies only to"),
             (["families", "--jobs", "4"], "--jobs applies only to"),
-            (["lambda", "--backend", "threads"],
-             "--backend applies only to table1, figure5, runtime, topology, "
-             "all, not lambda"),
+            (["table1", "--backend", "threads"], "unrecognized arguments: --backend"),
             (["worstcase", "--engine", "des"],
              "--engine applies only to runtime, topology, all, not worstcase"),
             (["runtime", "--csv", "OUT"], "--csv applies only to"),

@@ -9,7 +9,7 @@ write's fsync and its rename.  The contract under test:
 * the surviving journal passes ``journal verify`` (a torn trailing
   line is the accepted crash artifact, never silent corruption);
 * a resumed run completes and is **bit-identical** to a run that never
-  crashed, for both execution backends;
+  crashed, whether the victim ran pooled or serially;
 * ``write_atomic`` never exposes a torn artifact: after a crash before
   the rename, the previous file content is intact.
 """
@@ -40,9 +40,9 @@ VICTIM_SWEEP = textwrap.dedent(
     config = StochasticConfig.paper_table1(
         n_trials=12, n_values=(4, 8), seed=11, chunk_size=4
     )
-    journal_path, backend, n_jobs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+    journal_path, n_jobs = sys.argv[1], int(sys.argv[2])
     config = replace(config, n_jobs=n_jobs)
-    run_sweep(config, backend=backend, journal_path=journal_path)
+    run_sweep(config, journal_path=journal_path)
     """
 )
 
@@ -101,13 +101,13 @@ def _unlink_victim_segments(pid):
 
 
 class TestJournalCrash:
-    @pytest.mark.parametrize("backend,n_jobs", [("processes", 2), ("threads", 2)])
+    @pytest.mark.parametrize("pool,n_jobs", [("processes", 2)])
     def test_sigkill_mid_append_resumes_bit_identical(
-        self, tmp_path, backend, n_jobs
+        self, tmp_path, pool, n_jobs
     ):
         journal = tmp_path / "crash.jsonl"
         returncode, stderr = _run_victim(
-            VICTIM_SWEEP, [journal, backend, n_jobs], "journal-append:4:9"
+            VICTIM_SWEEP, [journal, n_jobs], "journal-append:4:9"
         )
         assert returncode == -9, stderr
         # the journal survived with real, fsynced progress + a torn tail
@@ -126,7 +126,7 @@ class TestJournalCrash:
         # offset 0: the process dies before writing any byte of the line
         journal = tmp_path / "crash.jsonl"
         returncode, stderr = _run_victim(
-            VICTIM_SWEEP, [journal, "processes", 1], "journal-append:3"
+            VICTIM_SWEEP, [journal, 1], "journal-append:3"
         )
         assert returncode == -9, stderr
         status = inspect_journal(journal)

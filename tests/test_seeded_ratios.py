@@ -234,7 +234,7 @@ def test_pool_workers_inherit_the_loaded_library(monkeypatch):
     monkeypatch.setattr(_native, "_seeded_ok", False)
     out = execute_chunks(
         [0, 1, 2, 3], _load_state_on_entry, keys=["a", "b", "c", "d"],
-        n_jobs=2, backend="processes",
+        n_jobs=2,
     )
     assert all(attempted for attempted, _ in out)
     assert {pid for _, pid in out} - {os.getpid()}

@@ -51,7 +51,7 @@ from repro.serve.protocol import (
     ProtocolError,
 )
 from repro.serve.report import ServeReport
-from repro.serve.server import PartitionServer, ServeConfig
+from repro.serve.server import PartitionServer, ServeConfig, build_parser
 from repro.utils.rng import SeedSequenceFactory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -102,7 +102,6 @@ async def http_request(host, port, path="/v1/partition", body=None,
 
 
 async def start_server(**overrides):
-    overrides.setdefault("backend", "threads")
     config = ServeConfig(port=0, install_signals=False, **overrides)
     server = PartitionServer(config)
     host, port = await server.start()
@@ -495,7 +494,6 @@ class TestBatchEngine:
 
         async def scenario():
             engine_kw.setdefault("report", ServeReport())
-            engine_kw.setdefault("backend", "threads")
             engine = BatchEngine(**engine_kw)
             batcher = MicroBatcher(engine)
             futures = [batcher.submit(r) for r in requests]
@@ -676,7 +674,7 @@ class GatedEngine(BatchEngine):
     """The real engine, with its first batch held until ``gate`` is set."""
 
     def __init__(self, gate):
-        super().__init__(report=ServeReport(), backend="threads")
+        super().__init__(report=ServeReport())
         self.gate = gate
         self.batches = []
         self.running = 0
@@ -923,7 +921,6 @@ class TestChaosEndToEnd:
 
         async def scenario():
             server, host, port, drain_task = await start_server(
-                backend="processes",
                 workers=2,
                 retries=3,
                 breaker_threshold=2,
@@ -990,6 +987,41 @@ class TestChaosEndToEnd:
         assert persisted["accounted"] and persisted["drained"]
         assert persisted["received"] == 32
         assert persisted["breaker_state"] == server.breaker.state
+
+
+# ----------------------------------------------------------------------
+# the command line
+# ----------------------------------------------------------------------
+
+
+class TestServeCli:
+    """An out-of-range number is a usage error (exit 2) at parse time,
+    before any socket opens; ``--backend`` no longer exists."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--default-deadline-s", "0"], "--default-deadline-s must be > 0"),
+            (["--default-deadline-s", "-1"], "--default-deadline-s must be > 0"),
+            (["--breaker-reset-s", "0"], "--breaker-reset-s must be > 0"),
+            (["--breaker-threshold", "0"], "--breaker-threshold must be >= 1"),
+            (["--hedge-after-ms", "-5"], "--hedge-after-ms must be > 0"),
+            (["--hedge-after-ms", "0"], "--hedge-after-ms must be > 0"),
+            (["--p99-budget-ms", "-3"], "--p99-budget-ms must be > 0"),
+            (["--p99-budget-ms", "0"], "--p99-budget-ms must be > 0"),
+            (["--chaos-batches", "-1"], "--chaos-batches must be >= 0"),
+            (["--workers", "0"], "--workers must be >= 1"),
+            (["--port", "-1"], "--port must be in [0, 65535]"),
+            (["--backend", "threads"], "unrecognized arguments: --backend"),
+        ],
+    )
+    def test_bad_flag_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

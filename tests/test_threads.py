@@ -1,10 +1,11 @@
-"""In-kernel trial-block threading and the threaded sweep backend.
+"""In-kernel trial-block threading, and resume across execution modes.
 
 The contract under test is *bit-identity by construction*: the native
 kernels shard trials into contiguous blocks whose per-trial arithmetic
 is untouched by the thread count, and the chunked runners' layout/merge
-order never depends on the execution backend.  Every test here compares
-full float64 arrays with ``np.array_equal`` (no tolerances).
+order never depends on whether chunks run pooled or serially.  Every
+test here compares full float64 arrays with ``np.array_equal`` (no
+tolerances).
 """
 
 import numpy as np
@@ -22,11 +23,7 @@ from repro.core.batch import (
     hf_final_weights_batch,
 )
 from repro.experiments.checkpoint import execute_chunks
-from repro.experiments.config import (
-    BACKENDS,
-    StochasticConfig,
-    normalize_backend,
-)
+from repro.experiments.config import StochasticConfig
 from repro.experiments.runner import run_sweep
 from repro.experiments.runtime_study import run_study_cells, study_trial_metrics
 from repro.experiments.stochastic import trial_ratios
@@ -165,36 +162,33 @@ class TestKernelThreadInvariance:
 
 
 class TestBackendValidation:
-    def test_known_backends(self):
-        assert BACKENDS == ("processes", "threads")
-        assert normalize_backend("Threads") == "threads"
+    """Chunks run on one pool kind: only ``run_sweep`` still takes the
+    ``backend`` keyword, and only as ``"processes"``."""
+
+    def config(self, **overrides):
+        kw = dict(n_trials=4, n_values=(4,), seed=1)
+        kw.update(overrides)
+        return StochasticConfig.paper_table1(**kw)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            normalize_backend("fibers")
+        for kind in ("threads", "Processes"):
+            with pytest.raises(ValueError, match="'processes'"):
+                run_sweep(self.config(n_jobs=2), backend=kind)
 
     def test_execute_chunks_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError, match="backend"):
             execute_chunks(
-                [1], lambda t: t, keys=["k"], n_jobs=1, backend="fibers"
+                [1], lambda t: t, keys=["k"], n_jobs=1, backend="processes"
             )
 
     def test_run_sweep_rejects_unknown_backend(self):
-        config = StochasticConfig.paper_table1(
-            n_trials=4, n_values=(4,), seed=1
-        )
         with pytest.raises(ValueError, match="backend"):
-            run_sweep(config, backend="fibers")
+            run_sweep(self.config(), backend="fibers")
 
-    def test_execute_chunks_threads_pool(self):
-        out = execute_chunks(
-            [1, 2, 3, 4],
-            lambda t: t * 2,
-            keys=["a", "b", "c", "d"],
-            n_jobs=2,
-            backend="threads",
-        )
-        assert out == [2, 4, 6, 8]
+    def test_processes_keyword_is_the_default(self):
+        config = self.config(n_jobs=2, chunk_size=2)
+        plain = run_sweep(config)
+        assert run_sweep(config, backend="processes").records == plain.records
 
 
 class TestSweepBackends:
@@ -203,43 +197,17 @@ class TestSweepBackends:
         kw.update(overrides)
         return StochasticConfig.paper_table1(**kw)
 
-    def test_threads_matches_serial_and_processes(self):
-        serial = run_sweep(self.config())
-        procs = run_sweep(self.config(n_jobs=2), backend="processes")
-        threads = run_sweep(self.config(n_jobs=2), backend="threads")
-        assert threads.records == serial.records
-        assert threads.records == procs.records
-
     def test_cross_backend_resume(self, tmp_path):
-        """A journal written under one backend resumes under the other."""
+        """A journal written pooled, torn mid-line, resumes serially (the
+        serial-write, pooled-resume direction is tests/test_cells.py's
+        ``resume`` mode)."""
         plain = run_sweep(self.config())
         journal = tmp_path / "s.jsonl"
-        run_sweep(
-            self.config(n_jobs=2), backend="threads", journal_path=journal
-        )
+        run_sweep(self.config(n_jobs=2), journal_path=journal)
         lines = journal.read_text().splitlines(keepends=True)
         keep = 1 + (len(lines) - 1) // 2
         journal.write_text("".join(lines[:keep]) + '{"kind": "chu')
-        resumed = run_sweep(
-            self.config(n_jobs=2),
-            backend="processes",
-            journal_path=journal,
-            resume=True,
-        )
-        assert resumed.records == plain.records
-
-    def test_resume_processes_journal_under_threads(self, tmp_path):
-        plain = run_sweep(self.config())
-        journal = tmp_path / "s.jsonl"
-        run_sweep(self.config(), journal_path=journal)
-        lines = journal.read_text().splitlines(keepends=True)
-        journal.write_text("".join(lines[: len(lines) // 2]))
-        resumed = run_sweep(
-            self.config(n_jobs=2),
-            backend="threads",
-            journal_path=journal,
-            resume=True,
-        )
+        resumed = run_sweep(self.config(), journal_path=journal, resume=True)
         assert resumed.records == plain.records
 
 
@@ -255,26 +223,13 @@ class TestStudyBackends:
         kw.update(overrides)
         return run_study_cells(self.cells(), SAMPLER, **kw)
 
-    def test_threads_matches_serial_and_processes(self):
-        serial = self.run()
-        procs = self.run(n_jobs=2, backend="processes")
-        threads = self.run(n_jobs=2, backend="threads")
-        assert set(serial) == set(procs) == set(threads)
-        for key in serial:
-            assert np.array_equal(threads[key], serial[key])
-            assert np.array_equal(procs[key], serial[key])
-
     def test_cross_backend_resume(self, tmp_path):
+        """A study journal written pooled resumes serially."""
         plain = self.run()
         journal = tmp_path / "study.jsonl"
-        self.run(n_jobs=2, backend="threads", journal_path=journal)
+        self.run(n_jobs=2, journal_path=journal)
         lines = journal.read_text().splitlines(keepends=True)
         journal.write_text("".join(lines[: len(lines) // 2]))
-        resumed = self.run(
-            n_jobs=2,
-            backend="processes",
-            journal_path=journal,
-            resume=True,
-        )
+        resumed = self.run(journal_path=journal, resume=True)
         for key in plain:
             assert np.array_equal(resumed[key], plain[key])

@@ -151,13 +151,14 @@ for rec in clean:
     assert rec.degraded_fraction == 0.0, rec
 EOF
 
-echo "== smoke: journal truncate + cross-backend resume bit-identity =="
+echo "== smoke: journal truncate + cross-mode resume bit-identity =="
 # Interrupt a journaled run (truncate the journal mid-state), resume it
-# under the *other* execution backend, and require the merged result to
-# match an uninterrupted serial run bit for bit -- for a sweep, a
-# runtime-study cell and a fault-study cell.  Pooled chunks sample their
-# own draws, so no run may publish a repro_draws_* segment: none may be
-# live when the executor starts, and none may be left behind.
+# under the *other* execution mode (written pooled, resumed serially, and
+# vice versa), and require the merged result to match an uninterrupted
+# serial run bit for bit -- for a sweep, a runtime-study cell and a
+# fault-study cell.  Pooled chunks sample their own draws, so no run
+# may publish a repro_draws_* segment: none may be live when the
+# executor starts, and none may be left behind.
 python - <<'EOF'
 import glob
 import tempfile
@@ -209,36 +210,35 @@ config = StochasticConfig.paper_table1(
 )
 plain = run_sweep(config)
 pooled = replace(config, n_jobs=2)
-threaded = run_sweep(pooled, backend="threads")
-assert threaded.records == plain.records, "threads backend is not bit-identical"
+assert run_sweep(pooled).records == plain.records, "pooled sweep is not bit-identical"
 with tempfile.TemporaryDirectory() as tmp:
-    journal = Path(tmp) / "sweep.jsonl"
-    run_sweep(pooled, backend="threads", journal_path=journal)
-    truncate(journal)
-    resumed = run_sweep(
-        pooled, backend="processes", journal_path=journal, resume=True
-    )
-    assert resumed.records == plain.records, "resume is not bit-identical"
+    for writer, reader in ((pooled, config), (config, pooled)):
+        journal = Path(tmp) / f"sweep{writer.n_jobs}.jsonl"
+        run_sweep(writer, journal_path=journal)
+        truncate(journal)
+        resumed = run_sweep(reader, journal_path=journal, resume=True)
+        assert resumed.records == plain.records, (
+            f"sweep resume (n_jobs {writer.n_jobs} -> {reader.n_jobs}) "
+            "is not bit-identical"
+        )
     no_new_segments("the sweep")
 
     cells = [(("ba", 8), "ba", 8, None)]
     study = dict(sampler=UniformAlpha(0.1, 0.5), n_trials=8, seed=11, chunk_size=2)
     plain_study = run_study_cells(cells, **study)
-    journal = Path(tmp) / "study.jsonl"
-    run_study_cells(
-        cells, **study, n_jobs=2, backend="threads", journal_path=journal
-    )
-    truncate(journal)
-    resumed_study = run_study_cells(
-        cells, **study, n_jobs=2, backend="processes", journal_path=journal,
-        resume=True,
-    )
-    assert np.array_equal(resumed_study[("ba", 8)], plain_study[("ba", 8)]), (
-        "study resume is not bit-identical"
-    )
+    for write_jobs, read_jobs in ((2, 1), (1, 2)):
+        journal = Path(tmp) / f"study{write_jobs}.jsonl"
+        run_study_cells(cells, **study, n_jobs=write_jobs, journal_path=journal)
+        truncate(journal)
+        resumed_study = run_study_cells(
+            cells, **study, n_jobs=read_jobs, journal_path=journal, resume=True
+        )
+        assert np.array_equal(resumed_study[("ba", 8)], plain_study[("ba", 8)]), (
+            f"study resume (n_jobs {write_jobs} -> {read_jobs}) is not bit-identical"
+        )
     no_new_segments("the study")
 
-    # the fault study has one (process) backend: pooled write, serial resume
+    # the fault study: pooled write, serial resume
     fault = dict(algorithms=("ba",), n_values=(8,), fault_rates=(0.2,),
                  n_trials=8, seed=11, chunk_size=2)
     plain_fault = run_fault_study(**fault)
@@ -334,7 +334,7 @@ echo "== serve: chaos burst, zero drops, graceful drain =="
 # SIGTERM drains cleanly with exit code 0.
 serve_log=$(mktemp)
 serve_report=$(mktemp)
-python -m repro.serve --port 0 --workers 2 --backend processes \
+python -m repro.serve --port 0 --workers 2 \
     --chaos-profile smoke --chaos-batches 3 \
     --report "$serve_report" > "$serve_log" 2>&1 &
 serve_pid=$!
