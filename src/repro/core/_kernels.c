@@ -1,8 +1,11 @@
 /* Native batch kernels for the stochastic bisection model.
  *
  * One call advances a whole batch: trial i reads its alpha-hat draws from
- * row i of `draws` and writes its outputs into row i of `out` (or the
- * i-th slot of the per-trial metric arrays).  Six kernels live here:
+ * row i and writes its outputs into row i of `out` (or the i-th slot of
+ * the per-trial metric arrays).  The metrics kernels and the seeded
+ * entry read their rows through one row_source: row i of a caller's
+ * `draws` matrix, or a row the kernel samples itself from the trial's
+ * seed (numpy's default_rng stream, bit for bit).  Six kernels live here:
  *
  *   repro_hf_batch    -- HF final weights (hold-back 8-ary max-heap)
  *   repro_ba_batch    -- BA final weights (explicit DFS stack)
@@ -14,10 +17,10 @@
  *   repro_phf_metrics -- PHF machine metrics (central phase 1, complete
  *                        network): makespan, collective time/count,
  *                        control messages and max final weight per trial
- *   repro_seeded_ratios -- HF / BA / BA-HF ratios straight from each
- *                        trial's seed: the kernel samples the trial's
- *                        U[low, high] row itself (numpy's default_rng
- *                        stream, bit for bit) and returns max * n only
+ *   repro_seeded_ratios -- HF / BA / BA-HF max final weight straight
+ *                        from each trial's seed: the kernel samples the
+ *                        trial's U[low, high] row itself and returns
+ *                        one number per trial
  *
  * Exactness contract: children are computed as a*w and (1.0-a)*w -- the
  * same IEEE-754 operations, in the same order, as the scalar Python fast
@@ -50,6 +53,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #if defined(REPRO_THREADS_PTHREAD)
 #include <pthread.h>
@@ -152,6 +156,235 @@ static int for_each_trial_block(void (*fn)(void *, long, long, int *),
             rc = blocks[b].rc;
     }
     return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* Trial rows: a caller's draw matrix, or rows sampled in the kernel   */
+/* ------------------------------------------------------------------ */
+
+/* A seeded trial t of a cell with root seed r reads the first n-1 values
+ * of numpy's default_rng(split_seed(r, t)).uniform(low, high).  The
+ * three pieces below reproduce that stream bit for bit:
+ *
+ *   split_seed -- SplitMix64, as repro.utils.rng.split_seed;
+ *   seed_pcg64 -- numpy's SeedSequence(seed).generate_state(4, uint64)
+ *                 (pool of four 32-bit words) and PCG64's seeding;
+ *   pcg64_next -- PCG64's 128-bit LCG step and XSL-RR output.
+ *
+ * A draw is low + (high - low) * ((next >> 11) * 2^-53), numpy's
+ * random_uniform.  _native.py compares one row per seed width against
+ * numpy at load time and disables every seeded entry on a mismatch, so
+ * a numpy stream change can never break bit-identity silently. */
+
+static uint64_t splitmix64(uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+static uint64_t split_seed(uint64_t seed, uint64_t index)
+{
+    return splitmix64(seed ^ splitmix64(index));
+}
+
+/* 128-bit PCG state as two 64-bit halves. */
+typedef struct {
+    uint64_t hi, lo;
+} u128;
+
+#define PCG_MULT_HI 2549297995355413924ULL
+#define PCG_MULT_LO 4865540595714422341ULL
+
+/* a * b as a full 128-bit product; a portable fallback where the
+ * compiler has no 128-bit integer type. */
+static u128 mul_64x64(uint64_t a, uint64_t b)
+{
+    u128 r;
+#if defined(__SIZEOF_INT128__)
+    unsigned __int128 p = (unsigned __int128)a * b;
+
+    r.hi = (uint64_t)(p >> 64);
+    r.lo = (uint64_t)p;
+#else
+    uint64_t a0 = a & 0xFFFFFFFFULL, a1 = a >> 32;
+    uint64_t b0 = b & 0xFFFFFFFFULL, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFULL) +
+                   (p10 & 0xFFFFFFFFULL);
+
+    r.lo = (mid << 32) | (p00 & 0xFFFFFFFFULL);
+    r.hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+#endif
+    return r;
+}
+
+static u128 add_128(u128 a, u128 b)
+{
+    u128 r;
+
+    r.lo = a.lo + b.lo;
+    r.hi = a.hi + b.hi + (r.lo < b.lo);
+    return r;
+}
+
+typedef struct {
+    u128 state, inc;
+} pcg64;
+
+/* state = state * multiplier + inc (mod 2^128) */
+static void pcg64_step(pcg64 *g)
+{
+    u128 p = mul_64x64(g->state.lo, PCG_MULT_LO);
+
+    p.hi += g->state.lo * PCG_MULT_HI + g->state.hi * PCG_MULT_LO;
+    g->state = add_128(p, g->inc);
+}
+
+static uint64_t pcg64_next(pcg64 *g)
+{
+    uint64_t x;
+    unsigned rot;
+
+    pcg64_step(g);
+    x = g->state.hi ^ g->state.lo;
+    rot = (unsigned)(g->state.hi >> 58);
+    return (x >> rot) | (x << ((64u - rot) & 63u));
+}
+
+/* SeedSequence's hashmix; *hash_const is advanced by every call. */
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const = (uint32_t)(*hash_const * 0x931E8875u);
+    value = (uint32_t)(value * *hash_const);
+    return value ^ (value >> 16);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = (uint32_t)((uint32_t)(0xCA01F9DDu * x) -
+                            (uint32_t)(0x4973F715u * y));
+
+    return r ^ (r >> 16);
+}
+
+/* PCG64(SeedSequence(seed)).  The seed's little-endian 32-bit words
+ * (one for seed < 2^32) fill a pool of four; unused pool words hash a
+ * zero word, so one- and two-word seeds need no separate case. */
+static void seed_pcg64(pcg64 *g, uint64_t seed)
+{
+    uint32_t entropy[2], pool[4], words[8];
+    uint32_t hash_const = 0x43B0D7E5u;
+    uint64_t s[4];
+    u128 init;
+    int i, j;
+
+    entropy[0] = (uint32_t)seed;
+    entropy[1] = (uint32_t)(seed >> 32);
+    for (i = 0; i < 4; ++i)
+        pool[i] = ss_hashmix(i < 2 ? entropy[i] : 0u, &hash_const);
+    for (i = 0; i < 4; ++i)
+        for (j = 0; j < 4; ++j)
+            if (i != j)
+                pool[j] = ss_mix(pool[j], ss_hashmix(pool[i], &hash_const));
+    hash_const = 0x8B51F9DDu;
+    for (i = 0; i < 8; ++i) {
+        uint32_t v = pool[i & 3] ^ hash_const;
+
+        hash_const = (uint32_t)(hash_const * 0x58F38DEDu);
+        v = (uint32_t)(v * hash_const);
+        words[i] = v ^ (v >> 16);
+    }
+    for (i = 0; i < 4; ++i)
+        s[i] = (uint64_t)words[2 * i] | ((uint64_t)words[2 * i + 1] << 32);
+    init.hi = s[0];
+    init.lo = s[1];
+    g->inc.hi = (s[2] << 1) | (s[3] >> 63);
+    g->inc.lo = (s[3] << 1) | 1u;
+    g->state.hi = g->state.lo = 0;
+    pcg64_step(g);
+    g->state = add_128(g->state, init);
+    pcg64_step(g);
+}
+
+/* The first k draws of default_rng(seed).uniform(low, high). */
+static void uniform_row(uint64_t seed, double low, double high, double *row,
+                        long k)
+{
+    double range = high - low;
+    pcg64 g;
+    long j;
+
+    seed_pcg64(&g, seed);
+    for (j = 0; j < k; ++j)
+        row[j] = low + range *
+                 ((double)(pcg64_next(&g) >> 11) * (1.0 / 9007199254740992.0));
+}
+
+/* One C row, for the load-time self-check against numpy. */
+void repro_uniform_row(unsigned long long seed, double low, double high,
+                       double *out, long k)
+{
+    uniform_row((uint64_t)seed, low, high, out, k);
+}
+
+/* Where trial i of a kernel call reads its alpha-hat row: row i of a
+ * caller's matrix (draws != NULL), or else seeded trial start + i of the
+ * cell with root seed `root`, drawn U[low, high].  The metrics entries
+ * take these six values as their leading arguments; repro_seeded_ratios
+ * takes the last four. */
+typedef struct {
+    const double *draws;
+    long stride;
+    uint64_t root;
+    long start;
+    double low, high;
+} row_source;
+
+/* One worker's view of a row_source: seeded rows of k draws are sampled
+ * into `buf`, which a point mass (low == high) fills once -- it reads no
+ * generator. */
+typedef struct {
+    const row_source *src;
+    double *buf;
+    long k;
+} row_reader;
+
+static int row_reader_open(row_reader *r, const row_source *src, long k)
+{
+    long j;
+
+    r->src = src;
+    r->k = k;
+    r->buf = NULL;
+    if (src->draws != NULL)
+        return 0;
+    r->buf = (double *)malloc((size_t)(k > 0 ? k : 1) * sizeof(double));
+    if (r->buf == NULL)
+        return -1;
+    if (src->low == src->high)
+        for (j = 0; j < k; ++j)
+            r->buf[j] = src->low;
+    return 0;
+}
+
+static const double *row_at(row_reader *r, long i)
+{
+    const row_source *src = r->src;
+
+    if (src->draws != NULL)
+        return src->draws + i * src->stride;
+    if (src->low != src->high)
+        uniform_row(split_seed(src->root, (uint64_t)(src->start + i)),
+                    src->low, src->high, r->buf, r->k);
+    return r->buf;
+}
+
+static void row_reader_close(row_reader *r)
+{
+    free(r->buf);
 }
 
 /* ------------------------------------------------------------------ */
@@ -383,8 +616,7 @@ static void ba_one(const double *row, double *orow, double w0, long n,
 /* Weights mode writes row i of `out` from w0[i]; metrics mode
  * (out == NULL) writes makespan[i] and maxw[i] from the shared *w0. */
 typedef struct {
-    const double *draws;
-    long stride;
+    row_source rows;
     const double *w0;
     double *out;
     long n;
@@ -399,10 +631,11 @@ static void ba_trial_block(void *vctx, long lo, long hi, int *rc)
     long n = ctx->n;
     double *sw = (double *)malloc((size_t)(3 * n + 2) * sizeof(double));
     long *sn = (long *)malloc((size_t)(n + 1) * sizeof(long));
+    row_reader rows;
     ba_clock clk;
     long i;
 
-    if (sw == NULL || sn == NULL) {
+    if (sw == NULL || sn == NULL || row_reader_open(&rows, &ctx->rows, n - 1)) {
         free(sw);
         free(sn);
         *rc = -1;
@@ -413,7 +646,7 @@ static void ba_trial_block(void *vctx, long lo, long hi, int *rc)
     clk.ss = sw + n + 1;
     clk.heap = clk.ss + n + 1;
     for (i = lo; i < hi; ++i) {
-        const double *row = ctx->draws + i * ctx->stride;
+        const double *row = row_at(&rows, i);
 
         if (ctx->out != NULL) {
             ba_one(row, ctx->out + i * n, ctx->w0[i], n, ctx->threshold, sw,
@@ -425,6 +658,7 @@ static void ba_trial_block(void *vctx, long lo, long hi, int *rc)
         ctx->makespan[i] = clk.span;
         ctx->maxw[i] = clk.maxw;
     }
+    row_reader_close(&rows);
     free(sw);
     free(sn);
 }
@@ -433,8 +667,8 @@ int repro_bahf_batch(const double *draws, long draws_stride,
                      const double *w0, double *out, long n_trials, long n,
                      double threshold, long n_threads)
 {
-    ba_ctx ctx = {.draws = draws, .stride = draws_stride, .w0 = w0,
-                  .out = out, .n = n, .threshold = threshold};
+    ba_ctx ctx = {.rows = {.draws = draws, .stride = draws_stride},
+                  .w0 = w0, .out = out, .n = n, .threshold = threshold};
 
     return for_each_trial_block(ba_trial_block, &ctx, n_trials, n_threads);
 }
@@ -448,15 +682,22 @@ int repro_ba_batch(const double *draws, long draws_stride,
 }
 
 /* BA (threshold < 0) / BA-HF machine metrics on the complete network:
- * makespan and max final weight per trial, no weights matrix. */
-int repro_ba_metrics(const double *draws, long draws_stride, long n_trials,
-                     long n, double w0, double threshold, double t_bisect,
-                     double t_send, double *makespan, double *maxw,
-                     long n_threads)
+ * makespan and max final weight per trial, no weights matrix.  Rows
+ * come from `draws` (row stride draws_stride), or from the seeded
+ * trials start .. start + n_trials - 1 of root seed `root` when draws
+ * is NULL. */
+int repro_ba_metrics(const double *draws, long draws_stride,
+                     unsigned long long root, long start, double low,
+                     double high, long n_trials, long n, double w0,
+                     double threshold, double t_bisect, double t_send,
+                     double *makespan, double *maxw, long n_threads)
 {
-    ba_ctx ctx = {.draws = draws, .stride = draws_stride, .w0 = &w0,
-                  .n = n, .threshold = threshold, .t_bisect = t_bisect,
-                  .t_send = t_send, .makespan = makespan, .maxw = maxw};
+    ba_ctx ctx = {.rows = {.draws = draws, .stride = draws_stride,
+                           .root = (uint64_t)root, .start = start,
+                           .low = low, .high = high},
+                  .w0 = &w0, .n = n, .threshold = threshold,
+                  .t_bisect = t_bisect, .t_send = t_send,
+                  .makespan = makespan, .maxw = maxw};
 
     return for_each_trial_block(ba_trial_block, &ctx, n_trials, n_threads);
 }
@@ -465,34 +706,53 @@ int repro_ba_metrics(const double *draws, long draws_stride, long n_trials,
 /* PHF machine metrics (central phase 1, complete network)             */
 /* ------------------------------------------------------------------ */
 
-/* Phase-2 band entries sorted by (weight desc, proc asc) -- processor
- * ids are distinct per trial, so the order is total and qsort's
- * instability is harmless. */
+/* A phase-2 band entry: its piece's column and the sort key ~bits(w).
+ * Weights are positive, and positive doubles order like their IEEE-754
+ * bit patterns, so ascending keys are descending weights. */
 typedef struct {
-    double w;
-    long proc;
+    uint64_t key;
     long col;
 } band_entry;
 
-static int band_cmp(const void *pa, const void *pb)
+/* Stable ascending sort of band[0..h) by key: LSD radix on 8-bit digits
+ * through the scratch `tmp` (h entries), skipping every byte that is
+ * equal across the band -- within one band every weight is within a
+ * factor (1 - alpha) of the maximum, so most high bytes are.  Returns
+ * whichever of band / tmp holds the sorted entries. */
+static band_entry *band_sort(band_entry *band, band_entry *tmp, long h)
 {
-    const band_entry *a = (const band_entry *)pa;
-    const band_entry *b = (const band_entry *)pb;
+    uint64_t diff = 0;
+    long j;
+    int shift;
 
-    if (a->w > b->w)
-        return -1;
-    if (a->w < b->w)
-        return 1;
-    if (a->proc < b->proc)
-        return -1;
-    if (a->proc > b->proc)
-        return 1;
-    return 0;
+    for (j = 1; j < h; ++j)
+        diff |= band[j].key ^ band[0].key;
+    for (shift = 0; shift < 64; shift += 8) {
+        long start[256] = {0};
+        long pos = 0, d;
+        band_entry *swap;
+
+        if (((diff >> shift) & 0xFF) == 0)
+            continue;
+        for (j = 0; j < h; ++j)
+            ++start[(band[j].key >> shift) & 0xFF];
+        for (d = 0; d < 256; ++d) {
+            long c = start[d];
+
+            start[d] = pos;
+            pos += c;
+        }
+        for (j = 0; j < h; ++j)
+            tmp[start[(band[j].key >> shift) & 0xFF]++] = band[j];
+        swap = band;
+        band = tmp;
+        tmp = swap;
+    }
+    return band;
 }
 
 typedef struct {
-    const double *draws;
-    long stride;
+    row_source rows;
     long n;
     double w0;
     double threshold;
@@ -515,7 +775,14 @@ typedef struct {
  * (one slot per trial): makespan, collective time, collective count,
  * control messages, max final weight and a status code (0 ok, 1 phase 1
  * ran out of free processors, 2 phase 2 failed to converge).  Block
- * status is 0 on success, -1 on scratch allocation failure. */
+ * status is 0 on success, -1 on scratch allocation failure.
+ *
+ * Processor p's piece lives in column p - 1 of `weights`.  A central
+ * phase 1 leaves processors 1..count busy, and phase 2 hands its k-th
+ * shipped piece to processor count0 + 1 + k, appended at column
+ * count0 + k, so column order is processor order throughout.  The band
+ * is gathered in column order and sorted stably by descending weight,
+ * which is the DES's (-weight, processor) order. */
 static void phf_trial_block(void *vctx, long lo, long hi, int *rc)
 {
     phf_ctx *p = (phf_ctx *)vctx;
@@ -526,29 +793,33 @@ static void phf_trial_block(void *vctx, long lo, long hi, int *rc)
     int keep_heavy = p->keep_heavy;
     double t_b = p->t_b, t_a = p->t_a, t_s = p->t_s, c = p->c;
     double *weights = (double *)malloc((size_t)n * sizeof(double));
-    long *wproc = (long *)malloc((size_t)n * sizeof(long));
     double *fw_a = (double *)malloc((size_t)n * sizeof(double));
     double *fw_b = (double *)malloc((size_t)n * sizeof(double));
     long *fp_a = (long *)malloc((size_t)n * sizeof(long));
     long *fp_b = (long *)malloc((size_t)n * sizeof(long));
-    band_entry *band = (band_entry *)malloc((size_t)n * sizeof(band_entry));
+    band_entry *band_a =
+        (band_entry *)malloc((size_t)n * sizeof(band_entry));
+    band_entry *band_b =
+        (band_entry *)malloc((size_t)n * sizeof(band_entry));
+    row_reader rows;
     long i;
 
-    if (weights == NULL || wproc == NULL || fw_a == NULL || fw_b == NULL ||
-        fp_a == NULL || fp_b == NULL || band == NULL) {
+    if (weights == NULL || fw_a == NULL || fw_b == NULL || fp_a == NULL ||
+        fp_b == NULL || band_a == NULL || band_b == NULL ||
+        row_reader_open(&rows, &p->rows, n - 1)) {
         free(weights);
-        free(wproc);
         free(fw_a);
         free(fw_b);
         free(fp_a);
         free(fp_b);
-        free(band);
+        free(band_a);
+        free(band_b);
         *rc = -1;
         return;
     }
 
     for (i = lo; i < hi; ++i) {
-        const double *row = p->draws + i * p->stride;
+        const double *row = row_at(&rows, i);
         double *fw_cur = fw_a, *fw_next = fw_b;
         long *fp_cur = fp_a, *fp_next = fp_b;
         long frontier_len = 1;
@@ -568,8 +839,7 @@ static void phf_trial_block(void *vctx, long lo, long hi, int *rc)
                 long proc = fp_cur[j];
 
                 if (w <= threshold) {
-                    weights[count] = w;
-                    wproc[count] = proc;
+                    weights[proc - 1] = w;
                     ++count;
                     continue;
                 }
@@ -649,6 +919,7 @@ static void phf_trial_block(void *vctx, long lo, long hi, int *rc)
         while (f > 0 && !err) {
             double t_at, m, band_lo, finish;
             long h, b, k, count0;
+            band_entry *band;
 
             ++rounds;
             if (rounds > n + 1) {
@@ -669,9 +940,11 @@ static void phf_trial_block(void *vctx, long lo, long hi, int *rc)
             h = 0;
             for (j = 0; j < count; ++j) {
                 if (weights[j] >= band_lo) {
-                    band[h].w = weights[j];
-                    band[h].proc = wproc[j];
-                    band[h].col = j;
+                    uint64_t bits;
+
+                    memcpy(&bits, &weights[j], sizeof bits);
+                    band_a[h].key = ~bits;
+                    band_a[h].col = j;
                     ++h;
                 }
             }
@@ -681,11 +954,11 @@ static void phf_trial_block(void *vctx, long lo, long hi, int *rc)
                 ++ncoll;
             }
             b = (h < f) ? h : f;
-            qsort(band, (size_t)h, sizeof(band_entry), band_cmp);
+            band = band_sort(band_a, band_b, h);
             count0 = count;
             for (k = 0; k < b; ++k) {
                 double a = row[acq + k];
-                double pw = band[k].w;
+                double pw = weights[band[k].col];
                 double w2 = a * pw;
                 double w1 = pw - w2;
                 double keep_w, ship_w;
@@ -703,11 +976,7 @@ static void phf_trial_block(void *vctx, long lo, long hi, int *rc)
                     ship_w = w1;
                 }
                 weights[band[k].col] = keep_w;
-                /* Free ids after a central phase 1 are contiguous
-                 * {count+1..n}, so the k-th numbered free processor is
-                 * count0 + 1 + k. */
                 weights[count0 + k] = ship_w;
-                wproc[count0 + k] = count0 + 1 + k;
             }
             acq += b;
             nctrl += b;
@@ -744,284 +1013,111 @@ static void phf_trial_block(void *vctx, long lo, long hi, int *rc)
         p->maxw[i] = mw;
     }
 
+    row_reader_close(&rows);
     free(weights);
-    free(wproc);
     free(fw_a);
     free(fw_b);
     free(fp_a);
     free(fp_b);
-    free(band);
+    free(band_a);
+    free(band_b);
 }
 
+/* Rows come from `draws` or, when it is NULL, from the seeded trials
+ * start .. start + n_trials - 1 of root seed `root` (see row_source). */
 int repro_phf_metrics(const double *draws, long draws_stride,
-                      long n_trials, long n, double w0, double threshold,
-                      double band_factor, int keep_heavy, double t_b,
-                      double t_a, double t_s, double c, double *makespan,
-                      double *coll_time, long *coll_n, long *ctrl,
-                      double *maxw, long *status, long n_threads)
+                      unsigned long long root, long start, double low,
+                      double high, long n_trials, long n, double w0,
+                      double threshold, double band_factor, int keep_heavy,
+                      double t_b, double t_a, double t_s, double c,
+                      double *makespan, double *coll_time, long *coll_n,
+                      long *ctrl, double *maxw, long *status, long n_threads)
 {
-    phf_ctx ctx;
+    phf_ctx ctx = {.rows = {.draws = draws, .stride = draws_stride,
+                            .root = (uint64_t)root, .start = start,
+                            .low = low, .high = high},
+                   .n = n, .w0 = w0, .threshold = threshold,
+                   .band_factor = band_factor, .keep_heavy = keep_heavy,
+                   .t_b = t_b, .t_a = t_a, .t_s = t_s, .c = c,
+                   .makespan = makespan, .coll_time = coll_time,
+                   .coll_n = coll_n, .ctrl = ctrl, .maxw = maxw,
+                   .status = status};
 
-    ctx.draws = draws;
-    ctx.stride = draws_stride;
-    ctx.n = n;
-    ctx.w0 = w0;
-    ctx.threshold = threshold;
-    ctx.band_factor = band_factor;
-    ctx.keep_heavy = keep_heavy;
-    ctx.t_b = t_b;
-    ctx.t_a = t_a;
-    ctx.t_s = t_s;
-    ctx.c = c;
-    ctx.makespan = makespan;
-    ctx.coll_time = coll_time;
-    ctx.coll_n = coll_n;
-    ctx.ctrl = ctrl;
-    ctx.maxw = maxw;
-    ctx.status = status;
     return for_each_trial_block(phf_trial_block, &ctx, n_trials, n_threads);
 }
 
 /* ------------------------------------------------------------------ */
-/* Seeded trials: sample each trial's row in the kernel                */
+/* Seeded max weights: HF / BA / BA-HF straight from each trial's seed */
 /* ------------------------------------------------------------------ */
-
-/* Trial t of a cell with root seed r reads the first n-1 values of
- * numpy's default_rng(split_seed(r, t)).uniform(low, high).  The three
- * pieces below reproduce that stream bit for bit:
- *
- *   split_seed -- SplitMix64, as repro.utils.rng.split_seed;
- *   seed_pcg64 -- numpy's SeedSequence(seed).generate_state(4, uint64)
- *                 (pool of four 32-bit words) and PCG64's seeding;
- *   pcg64_next -- PCG64's 128-bit LCG step and XSL-RR output.
- *
- * A draw is low + (high - low) * ((next >> 11) * 2^-53), numpy's
- * random_uniform.  _native.py compares one row per seed width against
- * numpy at load time and disables repro_seeded_ratios on a mismatch, so
- * a numpy stream change can never break bit-identity silently. */
-
-static uint64_t splitmix64(uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-static uint64_t split_seed(uint64_t seed, uint64_t index)
-{
-    return splitmix64(seed ^ splitmix64(index));
-}
-
-/* 128-bit PCG state as two 64-bit halves. */
-typedef struct {
-    uint64_t hi, lo;
-} u128;
-
-#define PCG_MULT_HI 2549297995355413924ULL
-#define PCG_MULT_LO 4865540595714422341ULL
-
-/* a * b as a full 128-bit product; a portable fallback where the
- * compiler has no 128-bit integer type. */
-static u128 mul_64x64(uint64_t a, uint64_t b)
-{
-    u128 r;
-#if defined(__SIZEOF_INT128__)
-    unsigned __int128 p = (unsigned __int128)a * b;
-
-    r.hi = (uint64_t)(p >> 64);
-    r.lo = (uint64_t)p;
-#else
-    uint64_t a0 = a & 0xFFFFFFFFULL, a1 = a >> 32;
-    uint64_t b0 = b & 0xFFFFFFFFULL, b1 = b >> 32;
-    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
-    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFULL) +
-                   (p10 & 0xFFFFFFFFULL);
-
-    r.lo = (mid << 32) | (p00 & 0xFFFFFFFFULL);
-    r.hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
-#endif
-    return r;
-}
-
-static u128 add_128(u128 a, u128 b)
-{
-    u128 r;
-
-    r.lo = a.lo + b.lo;
-    r.hi = a.hi + b.hi + (r.lo < b.lo);
-    return r;
-}
-
-typedef struct {
-    u128 state, inc;
-} pcg64;
-
-/* state = state * multiplier + inc (mod 2^128) */
-static void pcg64_step(pcg64 *g)
-{
-    u128 p = mul_64x64(g->state.lo, PCG_MULT_LO);
-
-    p.hi += g->state.lo * PCG_MULT_HI + g->state.hi * PCG_MULT_LO;
-    g->state = add_128(p, g->inc);
-}
-
-static uint64_t pcg64_next(pcg64 *g)
-{
-    uint64_t x;
-    unsigned rot;
-
-    pcg64_step(g);
-    x = g->state.hi ^ g->state.lo;
-    rot = (unsigned)(g->state.hi >> 58);
-    return (x >> rot) | (x << ((64u - rot) & 63u));
-}
-
-/* SeedSequence's hashmix; *hash_const is advanced by every call. */
-static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
-{
-    value ^= *hash_const;
-    *hash_const = (uint32_t)(*hash_const * 0x931E8875u);
-    value = (uint32_t)(value * *hash_const);
-    return value ^ (value >> 16);
-}
-
-static uint32_t ss_mix(uint32_t x, uint32_t y)
-{
-    uint32_t r = (uint32_t)((uint32_t)(0xCA01F9DDu * x) -
-                            (uint32_t)(0x4973F715u * y));
-
-    return r ^ (r >> 16);
-}
-
-/* PCG64(SeedSequence(seed)).  The seed's little-endian 32-bit words
- * (one for seed < 2^32) fill a pool of four; unused pool words hash a
- * zero word, so one- and two-word seeds need no separate case. */
-static void seed_pcg64(pcg64 *g, uint64_t seed)
-{
-    uint32_t entropy[2], pool[4], words[8];
-    uint32_t hash_const = 0x43B0D7E5u;
-    uint64_t s[4];
-    u128 init;
-    int i, j;
-
-    entropy[0] = (uint32_t)seed;
-    entropy[1] = (uint32_t)(seed >> 32);
-    for (i = 0; i < 4; ++i)
-        pool[i] = ss_hashmix(i < 2 ? entropy[i] : 0u, &hash_const);
-    for (i = 0; i < 4; ++i)
-        for (j = 0; j < 4; ++j)
-            if (i != j)
-                pool[j] = ss_mix(pool[j], ss_hashmix(pool[i], &hash_const));
-    hash_const = 0x8B51F9DDu;
-    for (i = 0; i < 8; ++i) {
-        uint32_t v = pool[i & 3] ^ hash_const;
-
-        hash_const = (uint32_t)(hash_const * 0x58F38DEDu);
-        v = (uint32_t)(v * hash_const);
-        words[i] = v ^ (v >> 16);
-    }
-    for (i = 0; i < 4; ++i)
-        s[i] = (uint64_t)words[2 * i] | ((uint64_t)words[2 * i + 1] << 32);
-    init.hi = s[0];
-    init.lo = s[1];
-    g->inc.hi = (s[2] << 1) | (s[3] >> 63);
-    g->inc.lo = (s[3] << 1) | 1u;
-    g->state.hi = g->state.lo = 0;
-    pcg64_step(g);
-    g->state = add_128(g->state, init);
-    pcg64_step(g);
-}
-
-/* The first k draws of default_rng(seed).uniform(low, high). */
-static void uniform_row(uint64_t seed, double low, double high, double *row,
-                        long k)
-{
-    double range = high - low;
-    pcg64 g;
-    long j;
-
-    seed_pcg64(&g, seed);
-    for (j = 0; j < k; ++j)
-        row[j] = low + range *
-                 ((double)(pcg64_next(&g) >> 11) * (1.0 / 9007199254740992.0));
-}
-
-/* One C row, for the load-time self-check against numpy. */
-void repro_uniform_row(unsigned long long seed, double low, double high,
-                       double *out, long k)
-{
-    uniform_row((uint64_t)seed, low, high, out, k);
-}
 
 typedef struct {
     int kind;
-    uint64_t root;
-    long start;
+    row_source rows;
     long n;
-    double low, high;
+    double w0;
     double threshold;
     double *out;
 } seeded_ctx;
 
 /* Trials [lo, hi) of a seeded call: sample the row into per-thread
  * scratch, run HF (kind 0) or the BA walk (kind 1, BA-HF when
- * threshold >= 0), write max * n. */
+ * threshold >= 0), write the max final weight. */
 static void seeded_trial_block(void *vctx, long lo, long hi, int *rc)
 {
     seeded_ctx *ctx = (seeded_ctx *)vctx;
     long n = ctx->n;
-    int fixed = ctx->low == ctx->high;
-    double *row = (double *)malloc((size_t)(3 * n + 1) * sizeof(double));
+    double *leaves = (double *)malloc((size_t)(2 * n + 1) * sizeof(double));
     long *sn = (long *)malloc((size_t)(n + 1) * sizeof(long));
-    double *leaves, *sw;
+    double *sw;
+    row_reader rows;
     long i, j;
 
-    if (row == NULL || sn == NULL) {
-        free(row);
+    if (leaves == NULL || sn == NULL ||
+        row_reader_open(&rows, &ctx->rows, n - 1)) {
+        free(leaves);
         free(sn);
         *rc = -1;
         return;
     }
-    leaves = row + n; /* row holds n - 1 draws */
     sw = leaves + n;
-    if (fixed) /* a point mass reads no generator */
-        for (j = 0; j < n - 1; ++j)
-            row[j] = ctx->low;
     for (i = lo; i < hi; ++i) {
+        const double *row = row_at(&rows, i);
         double mx;
 
-        if (!fixed)
-            uniform_row(split_seed(ctx->root, (uint64_t)(ctx->start + i)),
-                        ctx->low, ctx->high, row, n - 1);
         if (ctx->kind == 0) {
-            hf_one(row, leaves, 1.0, n);
+            hf_one(row, leaves, ctx->w0, n);
             mx = leaves[n - 1]; /* the held-back maximum */
         } else {
-            ba_one(row, leaves, 1.0, n, ctx->threshold, sw, sn, NULL);
+            ba_one(row, leaves, ctx->w0, n, ctx->threshold, sw, sn, NULL);
             mx = leaves[0];
             for (j = 1; j < n; ++j)
                 if (leaves[j] > mx)
                     mx = leaves[j];
         }
-        ctx->out[i] = mx * (double)n;
+        ctx->out[i] = mx;
     }
-    free(row);
+    row_reader_close(&rows);
+    free(leaves);
     free(sn);
 }
 
-/* Ratios max_i w_i * n of trials start .. start + n_trials - 1 of one
- * cell, unit initial weight, draws U[low, high] from each trial's own
- * seeded stream (a constant row when low == high).  kind 0 is HF; kind
- * 1 is BA (threshold < 0) or BA-HF.  No draw or weight matrix is built:
- * each thread reuses one row and one leaf buffer. */
+/* Max final weight of trials start .. start + n_trials - 1 of one cell,
+ * initial weight w0, draws U[low, high] from each trial's own seeded
+ * stream (a constant row when low == high).  kind 0 is HF; kind 1 is BA
+ * (threshold < 0) or BA-HF.  No draw or weight matrix is built: each
+ * thread reuses one row and one leaf buffer.  The callers form the
+ * ratio: max * n at unit weight for the sweeps, max / (w0 / n) on the
+ * fastpath. */
 int repro_seeded_ratios(int kind, unsigned long long root, long start,
                         long n_trials, long n, double low, double high,
-                        double threshold, double *ratio_out, long n_threads)
+                        double w0, double threshold, double *maxw_out,
+                        long n_threads)
 {
-    seeded_ctx ctx = {.kind = kind, .root = (uint64_t)root, .start = start,
-                      .n = n, .low = low, .high = high,
-                      .threshold = threshold, .out = ratio_out};
+    seeded_ctx ctx = {.kind = kind,
+                      .rows = {.root = (uint64_t)root, .start = start,
+                               .low = low, .high = high},
+                      .n = n, .w0 = w0, .threshold = threshold,
+                      .out = maxw_out};
 
     return for_each_trial_block(seeded_trial_block, &ctx, n_trials,
                                 n_threads);

@@ -16,11 +16,17 @@ available (``cc``/``gcc``/``clang``) and loads it through :mod:`ctypes`
 * :func:`ba_metrics_native` -- BA / BA-HF machine metrics (makespan
   and max final weight) for the complete-network fastpath
 * :func:`phf_metrics_native` -- PHF machine metrics for the central
-  phase-1 / complete-network fastpath
-* :func:`seeded_ratios_native` -- HF / BA / BA-HF trial ratios from
-  a cell's root seed: each trial's U[low, high] row is sampled inside
-  the kernel (numpy's ``default_rng`` stream, bit for bit) and only its
-  ratio comes back
+  phase-1 / complete-network fastpath; each phase-2 band is ordered
+  by a stable radix pass, not a comparison sort
+* :func:`seeded_ratios_native` -- HF / BA / BA-HF max final weight per
+  trial from a cell's root seed: each trial's U[low, high] row is
+  sampled inside the kernel (numpy's ``default_rng`` stream, bit for
+  bit) and one number per trial comes back
+
+The two metrics kernels take their rows either as a draw matrix or as
+:class:`SeededRows`, which makes the kernel sample each trial's row
+itself, exactly as :func:`seeded_ratios_native` does; one C row source
+serves all three.
 
 Everything here degrades gracefully: if there is no compiler, the build
 fails, or ``REPRO_NO_NATIVE`` is set in the environment, callers get
@@ -34,8 +40,8 @@ whether the compile was skipped (cache hit), performed, or failed.
 Loading runs one self-check: a C row of the seeded sampler against
 ``np.random.default_rng(seed).uniform(...)`` for a one-word and a
 two-word seed.  A mismatch (a numpy stream change) logs a warning and
-disables :func:`seeded_ratios_native` only; callers then sample with
-numpy as before.
+disables the seeded rows only (:func:`seeded_available` turns false);
+callers then sample with numpy as before.
 
 Threading: the library is built with ``-pthread`` -- per-call
 spawn-and-join threads with no persistent state, so it is fork-safe
@@ -59,6 +65,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -74,6 +81,8 @@ __all__ = [
     "native_threading_mode",
     "phf_metrics_native",
     "resolve_n_threads",
+    "SeededRows",
+    "seeded_available",
     "seeded_ratios_native",
 ]
 
@@ -178,7 +187,10 @@ def _declare(lib: ctypes.CDLL) -> None:
     ]
     lib.repro_ba_metrics.restype = ctypes.c_int
     lib.repro_ba_metrics.argtypes = [
-        _DOUBLE_P, ctypes.c_long,  # draws, row stride (elements)
+        # row source: draws (NULL: seeded rows), row stride (elements),
+        # root seed, first trial, low, high
+        _DOUBLE_P, ctypes.c_long, ctypes.c_ulonglong, ctypes.c_long,
+        ctypes.c_double, ctypes.c_double,
         ctypes.c_long, ctypes.c_long,  # n_trials, n
         ctypes.c_double, ctypes.c_double,  # w0, threshold (< 0: plain BA)
         ctypes.c_double, ctypes.c_double,  # t_bisect, t_send
@@ -197,14 +209,17 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_ulonglong,  # root seed
         ctypes.c_long, ctypes.c_long, ctypes.c_long,  # start, n_trials, n
         ctypes.c_double, ctypes.c_double,  # low, high
+        ctypes.c_double,  # w0
         ctypes.c_double,  # threshold (< 0: plain BA)
-        _DOUBLE_P,  # ratio_out
+        _DOUBLE_P,  # maxw_out
         ctypes.c_long,  # n_threads
     ]
     lib.repro_phf_metrics.restype = ctypes.c_int
     lib.repro_phf_metrics.argtypes = [
-        _DOUBLE_P,  # draws
-        ctypes.c_long,  # draws row stride (elements)
+        # row source: draws (NULL: seeded rows), row stride (elements),
+        # root seed, first trial, low, high
+        _DOUBLE_P, ctypes.c_long, ctypes.c_ulonglong, ctypes.c_long,
+        ctypes.c_double, ctypes.c_double,
         ctypes.c_long,  # n_trials
         ctypes.c_long,  # n
         ctypes.c_double,  # w0
@@ -474,37 +489,75 @@ def bahf_batch_native(
     return out
 
 
+@dataclass(frozen=True)
+class SeededRows:
+    """Trials ``start .. start + n_trials - 1`` whose rows a kernel samples.
+
+    Trial ``t`` reads the first ``n - 1`` draws of
+    ``default_rng(split_seed(root, t)).uniform(low, high)`` (a constant
+    row when ``low == high``), sampled inside the kernel -- the rows
+    :func:`repro.experiments.stochastic.draw_rows` builds for the same
+    cell, bit for bit.  The metrics kernels and the fastpath take one in
+    place of a draw matrix; :func:`repro.experiments.stochastic.seeded_rows`
+    makes them.
+    """
+
+    root: int
+    start: int
+    n_trials: int
+    low: float
+    high: float
+
+
+def seeded_available() -> bool:
+    """Whether the kernels are loaded and their seeded rows passed the self-check."""
+    return _load() is not None and _seeded_ok
+
+
+def _row_source(rows, n: int) -> Tuple[Optional[tuple], int]:
+    """A metrics kernel's six leading row-source arguments, and its trial count.
+
+    The arguments are ``None`` for :class:`SeededRows` whose sampler
+    failed the load-time self-check.
+    """
+    if isinstance(rows, SeededRows):
+        source = (None, 0, rows.root, rows.start, rows.low, rows.high)
+        return (source if _seeded_ok else None), rows.n_trials
+    draws_c, n_trials, stride = _as_c_draws(rows)
+    if n < 1 or draws_c.ndim != 2 or stride < n - 1:
+        raise ValueError(f"need n >= 1 and >= n-1 draws per trial, "
+                         f"got n={n}, draws shape {draws_c.shape}")
+    return (_dptr(draws_c), stride, 0, 0, 0.0, 0.0), n_trials
+
+
 def ba_metrics_native(
-    draws: np.ndarray, n: int, *, w0: float, threshold: Optional[float],
+    rows, n: int, *, w0: float, threshold: Optional[float],
     t_bisect: float, t_send: float, n_threads: Optional[int] = None,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Run the compiled BA / BA-HF metrics kernel, or return ``None``.
 
-    ``threshold=None`` is plain BA, otherwise the BA-HF switch-over
-    (:func:`repro.core.bahf.bahf_threshold`).  Returns per-trial
-    ``(makespan, max final weight)`` on the complete network.
+    ``rows`` is the ``(n_trials, >= n-1)`` draw matrix or a
+    :class:`SeededRows`.  ``threshold=None`` is plain BA, otherwise the
+    BA-HF switch-over (:func:`repro.core.bahf.bahf_threshold`).  Returns
+    per-trial ``(makespan, max final weight)`` on the complete network.
     """
     lib = _load()
     if lib is None:
         return None
-    draws_c, n_trials, stride = _as_c_draws(draws)
-    if n < 1 or draws_c.ndim != 2 or stride < n - 1:
-        raise ValueError(f"need n >= 1 and >= n-1 draws per trial, "
-                         f"got n={n}, draws shape {draws_c.shape}")
+    source, n_trials = _row_source(rows, n)
+    if source is None:
+        return None
     makespan, maxw = np.empty((2, n_trials), dtype=np.float64)
     rc = lib.repro_ba_metrics(
-        _dptr(draws_c), ctypes.c_long(stride), ctypes.c_long(n_trials),
-        ctypes.c_long(n), ctypes.c_double(w0),
-        ctypes.c_double(-1.0 if threshold is None else threshold),
-        ctypes.c_double(t_bisect), ctypes.c_double(t_send),
-        _dptr(makespan), _dptr(maxw),
-        ctypes.c_long(resolve_n_threads(n_threads)),
+        *source, n_trials, n, w0, -1.0 if threshold is None else threshold,
+        t_bisect, t_send, _dptr(makespan), _dptr(maxw),
+        resolve_n_threads(n_threads),
     )
     return (makespan, maxw) if rc == 0 else None
 
 
 def phf_metrics_native(
-    draws: np.ndarray,
+    rows,
     n: int,
     *,
     w0: float,
@@ -521,43 +574,27 @@ def phf_metrics_native(
 ]:
     """Run the compiled PHF metrics kernel, or return ``None``.
 
-    Returns ``(makespan, coll_time, coll_n, ctrl, maxw, status)`` arrays,
-    one slot per trial.  ``status`` is 0 on success, 1 when phase 1 ran
-    out of free processors and 2 when phase 2 failed to converge; the
-    caller maps nonzero statuses to :class:`SimulationError` to match the
-    NumPy fastpath.
+    ``rows`` is the ``(n_trials, >= n-1)`` draw matrix or a
+    :class:`SeededRows`.  Returns ``(makespan, coll_time, coll_n, ctrl,
+    maxw, status)`` arrays, one slot per trial.  ``status`` is 0 on
+    success, 1 when phase 1 ran out of free processors and 2 when phase 2
+    failed to converge; the caller maps nonzero statuses to
+    :class:`SimulationError` to match the NumPy fastpath.
     """
     check_alpha(alpha)
     lib = _load()
     if lib is None:
         return None
-    draws_c, n_trials, stride = _as_c_draws(draws)
-    makespan = np.empty(n_trials, dtype=np.float64)
-    coll_time = np.empty(n_trials, dtype=np.float64)
-    coll_n = np.empty(n_trials, dtype=np.int64)
-    ctrl = np.empty(n_trials, dtype=np.int64)
-    maxw = np.empty(n_trials, dtype=np.float64)
-    status = np.empty(n_trials, dtype=np.int64)
+    source, n_trials = _row_source(rows, n)
+    if source is None:
+        return None
+    makespan, coll_time, maxw = np.empty((3, n_trials), dtype=np.float64)
+    coll_n, ctrl, status = np.empty((3, n_trials), dtype=np.int64)
     rc = lib.repro_phf_metrics(
-        _dptr(draws_c),
-        ctypes.c_long(stride),
-        ctypes.c_long(n_trials),
-        ctypes.c_long(n),
-        ctypes.c_double(w0),
-        ctypes.c_double(threshold),
-        ctypes.c_double(1.0 - alpha),
-        ctypes.c_int(1 if keep_heavy else 0),
-        ctypes.c_double(t_bisect),
-        ctypes.c_double(t_acquire),
-        ctypes.c_double(t_send),
-        ctypes.c_double(collective),
-        _dptr(makespan),
-        _dptr(coll_time),
-        _lptr(coll_n),
-        _lptr(ctrl),
-        _dptr(maxw),
-        _lptr(status),
-        ctypes.c_long(resolve_n_threads(n_threads)),
+        *source, n_trials, n, w0, threshold, 1.0 - alpha,
+        1 if keep_heavy else 0, t_bisect, t_acquire, t_send, collective,
+        _dptr(makespan), _dptr(coll_time), _lptr(coll_n), _lptr(ctrl),
+        _dptr(maxw), _lptr(status), resolve_n_threads(n_threads),
     )
     if rc != 0:
         return None
@@ -570,18 +607,21 @@ _SEEDED_KINDS = {"hf": 0, "ba": 1}
 def seeded_ratios_native(
     kind: str, root: int, start: int, n_trials: int, n: int,
     low: float, high: float, threshold: Optional[float] = None,
-    n_threads: Optional[int] = None,
+    n_threads: Optional[int] = None, w0: float = 1.0,
 ) -> Optional[np.ndarray]:
-    """Ratios of trials ``start .. start + n_trials - 1``, sampled in C.
+    """Max final weights of trials ``start .. start + n_trials - 1``, sampled in C.
 
     Trial ``t`` draws its ``n - 1`` values from
     ``default_rng(split_seed(root, t)).uniform(low, high)`` (a constant
     row when ``low == high``) and runs ``kind`` -- ``"hf"``, or ``"ba"``
     with ``threshold=None`` for plain BA and
-    :func:`repro.core.bahf.bahf_threshold` for BA-HF -- at unit initial
-    weight; the result is ``max weight * n`` per trial.  Returns ``None``
-    when the kernels are unavailable, the load-time self-check failed,
-    or the kernel could not run, so callers fall back to numpy rows.
+    :func:`repro.core.bahf.bahf_threshold` for BA-HF -- from initial
+    weight ``w0``; the result is each trial's max final weight, which the
+    callers turn into a ratio (``max * n`` at unit weight in
+    :func:`~repro.experiments.stochastic.trial_ratios`, ``max / (w0 / n)``
+    on the fastpath).  Returns ``None`` when the kernels are
+    unavailable, the load-time self-check failed, or the kernel could not
+    run, so callers fall back to numpy rows.
     """
     lib = _load()
     if lib is None or not _seeded_ok:
@@ -591,7 +631,7 @@ def seeded_ratios_native(
                          f"n={n}, n_trials={n_trials}, start={start}")
     out = np.empty(n_trials, dtype=np.float64)
     rc = lib.repro_seeded_ratios(
-        _SEEDED_KINDS[kind], root, start, n_trials, n, low, high,
+        _SEEDED_KINDS[kind], root, start, n_trials, n, low, high, w0,
         -1.0 if threshold is None else threshold, _dptr(out),
         resolve_n_threads(n_threads),
     )

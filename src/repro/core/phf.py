@@ -103,8 +103,15 @@ def phf_prescription(
     Splits conserve weight (``w2 = a·w; w1 = w - w2``, heavier first,
     as in :func:`repro.core.ba.ba_final_weights`) and exactly
     ``n_processors - 1`` draws are consumed.  Phase 1 proceeds in
-    generation lockstep for any non-negative machine costs, so the tree
-    is the same on every machine and topology.  Raises
+    generation lockstep for any non-negative machine costs, so its part
+    of the tree is the same on every machine and topology.  Phase 2's is
+    not always: its band order breaks weight ties by processor, and on a
+    topology the DES numbers processors in event order, not in this
+    idealised acquisition order.  When tied weights straddle a truncated
+    round (more band pieces than free processors) the two can pick
+    different pieces, and the DES then bisects a prescribed leaf and
+    raises.  The complete network, where the two numberings agree, is
+    never affected.  Raises
     :class:`SimulationError` if phase 1 runs out of processors (the
     draws violate the declared α).
     """

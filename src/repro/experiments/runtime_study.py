@@ -24,8 +24,13 @@ Two engines compute the per-trial metrics (``engine=`` knob):
 
 Trial ``t`` of cell ``(algorithm, N)`` derives its generator from
 ``(seed, algorithm, N, t)`` exactly like the ratio sweeps
-(:func:`repro.experiments.stochastic.trial_ratios`), and
-:func:`run_study_cells` runs the cells through the chunked-cell pipeline
+(:func:`repro.experiments.stochastic.trial_ratios`).  On the fastpath
+over the complete network, for exactly :class:`UniformAlpha` or
+:class:`~repro.problems.samplers.FixedAlpha`, the C kernels sample those
+rows themselves (:func:`~repro.experiments.stochastic.seeded_rows`);
+every other cell builds them with
+:func:`~repro.experiments.stochastic.draw_rows`.  :func:`run_study_cells`
+runs the cells through the chunked-cell pipeline
 :func:`~repro.experiments.runner.run_cells` (chunking, journal,
 supervised execution).  Results are bit-identical for any ``n_jobs``,
 pooled or serial, and identical between the two engines wherever the
@@ -50,7 +55,12 @@ from repro.experiments.runner import (
     encode_matrix_chunk,
     run_cells,
 )
-from repro.experiments.stochastic import _trial_factory, draw_rows, normalize_algorithm
+from repro.experiments.stochastic import (
+    _trial_factory,
+    draw_rows,
+    normalize_algorithm,
+    seeded_rows,
+)
 from repro.problems.prescribed import prescribed_problem
 from repro.problems.samplers import AlphaSampler, UniformAlpha
 from repro.problems.synthetic import SyntheticProblem
@@ -159,6 +169,14 @@ def study_trial_metrics(
     the serial values exactly, and the two engines agree bit for bit on
     every cell the fastpath supports.
 
+    Rows: on the fastpath over the complete network, where
+    :func:`~repro.experiments.stochastic.seeded_rows` engages (exactly
+    ``UniformAlpha``/``FixedAlpha``, native kernels self-checked), the
+    kernels sample each trial's row from its seed and no row is built in
+    Python; otherwise
+    :func:`~repro.experiments.stochastic.draw_rows` builds them.  Both
+    give the same matrix bit for bit.
+
     ``draws`` optionally supplies the trials' draw matrix; it must equal
     what :func:`~repro.experiments.stochastic.draw_rows` samples for the
     same range.  No runner passes it (chunks sample their own rows); it
@@ -187,15 +205,24 @@ def study_trial_metrics(
             "draws= requires a central PHF phase 1 (other strategies "
             "consume draws in a machine-dependent order)"
         )
-    if draws is None and not lazy:
+    if draws is not None and draws.shape[0] != n_trials:
+        raise ValueError(f"draws has {draws.shape[0]} rows for {n_trials} trials")
+    fast = engine == "fastpath" and fastpath_supported(key, config, phase1=phf_phase1)
+    # The complete-network kernels sample their own rows (seeded_rows'
+    # rule); topologies, the DES and every other case read draw_rows.
+    rows = None
+    if fast and config.topology is None:
+        rows = seeded_rows(key, n, sampler, seed=seed, start=start,
+                           n_trials=n_trials, draws=draws)
+    if rows is not None:
+        draws = rows
+    elif draws is None and not lazy:
         draws = draw_rows(
             key, n, sampler, seed=seed, start=start,
             stop=start + n_trials, n_draws=max(1, n - 1),
         )
-    elif draws is not None and draws.shape[0] != n_trials:
-        raise ValueError(f"draws has {draws.shape[0]} rows for {n_trials} trials")
 
-    if engine == "fastpath" and fastpath_supported(key, config, phase1=phf_phase1):
+    if fast:
         fp = fastpath_counters(
             key, n, draws, alpha=alpha, lam=lam, phase1=phf_phase1,
             config=config, n_threads=n_threads,

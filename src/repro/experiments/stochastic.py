@@ -7,15 +7,20 @@ trials per configuration and reports min/avg/max.
 
 Trial ``t``'s draws are one row: the first ``N - 1`` values of its own
 generator, ``default_rng(split_seed(root, t))``.  For the paper's
-samplers (exactly :class:`UniformAlpha` or :class:`FixedAlpha`)
-:func:`trial_ratios` hands the cell's root seed and trial range to one
-native call that samples each row in C and returns only the ratios
-(:func:`repro.core._native.seeded_ratios_native`); no generator, draw
-matrix or weight matrix is built in Python.  Every other case -- other
-samplers, explicit ``draws``, no compiler -- samples the rows with
-:func:`draw_rows` (the one place Python builds rows) and runs the
-batched kernels of :mod:`repro.core.batch` on them.  Both paths give
-the same ratios bit for bit.  For the i.i.d. model only the weight
+samplers (exactly :class:`UniformAlpha` or :class:`FixedAlpha`) the
+native kernels sample those rows themselves: :func:`seeded_rows` holds
+that rule and describes the cell's root seed and trial range as a
+:class:`~repro.core._native.SeededRows`.  :func:`trial_ratios` hands it
+to one native call that returns only each trial's max weight
+(:func:`repro.core._native.seeded_ratios_native`), and the runtime
+study's fastpath hands it to the machine-metrics kernels
+(:func:`repro.experiments.runtime_study.study_trial_metrics`); no
+generator, draw matrix or weight matrix is built in Python.  Every
+other case -- other samplers, explicit ``draws``, no compiler, a
+topology on the fastpath -- samples the rows with :func:`draw_rows`
+(the one place Python builds rows) and runs the batched kernels of
+:mod:`repro.core.batch` on them.  Both paths give the same results bit
+for bit.  For the i.i.d. model only the weight
 multiset matters, so no problem objects, trees or bisection caching are
 needed.  The scalar row oracles (:func:`~repro.core.hf.hf_final_weights`,
 :func:`~repro.core.ba.ba_final_weights`,
@@ -45,6 +50,7 @@ from repro.utils.rng import SeedSequenceFactory
 __all__ = [
     "draw_rows",
     "normalize_algorithm",
+    "seeded_rows",
     "trial_ratios",
     "sample_ratios",
 ]
@@ -81,6 +87,30 @@ def draw_rows(
     return sampler.sample_trial_matrix(rngs, n_draws)
 
 
+def seeded_rows(
+    algorithm: str, n_processors: int, sampler: AlphaSampler, *,
+    seed: int, start: int, n_trials: int, draws: Optional[np.ndarray] = None,
+) -> Optional[_native.SeededRows]:
+    """The kernels' own rows for trials ``start .. start + n_trials - 1``, or ``None``.
+
+    The one rule for sampling rows in C: ``sampler`` is exactly a
+    :class:`UniformAlpha` or :class:`FixedAlpha` (a subclass keeps its
+    own ``sample_many``), no explicit ``draws`` were given, and the
+    native kernels loaded and passed their self-check.  The result
+    describes the rows :func:`draw_rows` would build for the same
+    arguments; ``None`` means the caller builds them with
+    :func:`draw_rows`.  :func:`trial_ratios` and the runtime study's
+    fastpath (complete network only) both ask here.
+    """
+    if (draws is not None or type(sampler) not in (UniformAlpha, FixedAlpha)
+            or not _native.seeded_available()):
+        return None
+    return _native.SeededRows(
+        _trial_factory(algorithm, n_processors, seed).root_seed, start,
+        n_trials, sampler.alpha, sampler.beta,
+    )
+
+
 def trial_ratios(
     algorithm: str,
     n_processors: int,
@@ -101,11 +131,12 @@ def trial_ratios(
     trial range across workers (``start`` offsets) reproduces the exact
     same values as one serial pass.
 
-    When ``sampler`` is exactly a :class:`UniformAlpha` or
-    :class:`FixedAlpha` (a subclass keeps its own ``sample_many``) and
-    the native kernels loaded and passed their self-check, one call of
+    When :func:`seeded_rows` engages (exactly a :class:`UniformAlpha` or
+    :class:`FixedAlpha`, no ``draws``, native kernels loaded and
+    self-checked), one call of
     :func:`repro.core._native.seeded_ratios_native` samples every row in
-    C and returns the ratios.  Otherwise the rows come from
+    C and returns each trial's max weight, and the ratio is that times
+    ``n_processors``.  Otherwise the rows come from
     :func:`draw_rows` and run through the vectorized kernels of
     :mod:`repro.core.batch`.  Either way the ratios equal the scalar row
     oracles' on the same rows bit for bit.
@@ -128,18 +159,21 @@ def trial_ratios(
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
 
-    if draws is None and type(sampler) in (UniformAlpha, FixedAlpha):
-        ratios = _native.seeded_ratios_native(
-            "hf" if key in ("hf", "phf") else "ba",
-            _trial_factory(algorithm, n_processors, seed).root_seed,
-            start, n_trials, n_processors, sampler.alpha, sampler.beta,
+    rows = seeded_rows(
+        algorithm, n_processors, sampler, seed=seed, start=start,
+        n_trials=n_trials, draws=draws,
+    )
+    if rows is not None:
+        maxw = _native.seeded_ratios_native(
+            "hf" if key in ("hf", "phf") else "ba", rows.root, start,
+            n_trials, n_processors, rows.low, rows.high,
             threshold=(
                 bahf_threshold(sampler.alpha, lam) if key == "bahf" else None
             ),
             n_threads=n_threads,
         )
-        if ratios is not None:
-            return ratios
+        if maxw is not None:
+            return maxw * n_processors
     if draws is None:
         draws = draw_rows(
             algorithm, n_processors, sampler, seed=seed, start=start,

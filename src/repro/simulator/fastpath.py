@@ -33,6 +33,13 @@ derived from the bisection-tree structure instead of event replay:
   DES's phase-1 chronology for the timing -- the complete network is
   then just the topology whose every distance is one hop.
 
+Rows: every entry takes a ``(n_trials, N-1)`` draw matrix, or on the
+complete network a :class:`repro.core._native.SeededRows`, which makes
+the C kernels sample each trial's row from its seed (HF then reads only
+each trial's max weight from C, with no weight table).  Seeded rows have
+no NumPy fallback; :func:`repro.experiments.stochastic.seeded_rows`
+hands them out only when the kernels are loaded and self-checked.
+
 Bit-exactness contract: every float the DES computes is reproduced by
 elementwise operations in the same order with the same IEEE-754
 semantics, so makespans, collective times and ratios match the oracle
@@ -186,6 +193,30 @@ def _const_int(n_trials: int, value: int) -> np.ndarray:
     return np.full(n_trials, value, dtype=np.int64)
 
 
+def _trial_rows(alpha_draws, n: int, config: MachineConfig):
+    """``(rows, n_trials)``: a checked draw matrix, or seeded rows.
+
+    :class:`~repro.core._native.SeededRows` are sampled inside the
+    complete-network kernels, so they are refused on a topology.
+    """
+    if isinstance(alpha_draws, _native.SeededRows):
+        if config.topology is not None:
+            raise FastpathUnsupported(
+                "seeded rows are sampled by the complete-network kernels; "
+                "pass a draw matrix on a topology"
+            )
+        return alpha_draws, alpha_draws.n_trials
+    draws = _as_draw_matrix(alpha_draws, max(0, n - 1))
+    return draws, draws.shape[0]
+
+
+def _seeded_result(result):
+    """A native kernel's result on seeded rows, which have no NumPy fallback."""
+    if result is None:
+        raise RuntimeError("seeded rows need the loaded, self-checked native kernels")
+    return result
+
+
 # ----------------------------------------------------------------------
 # HF
 # ----------------------------------------------------------------------
@@ -201,16 +232,30 @@ def fastpath_hf(
 ) -> FastpathResult:
     """Sequential HF: P_1 bisects ``N-1`` times, then ships pieces 2..N.
 
-    ``n_threads`` shards the native ratio kernel's trials across
-    in-kernel threads (bit-identical for every count).
+    ``alpha_draws`` is a draw matrix, or
+    :class:`~repro.core._native.SeededRows` whose max weights the seeded
+    C entry computes without a weight table.  ``n_threads`` shards the
+    native kernel's trials across in-kernel threads (bit-identical for
+    every count).
     """
     config = config or MachineConfig()
     _require_supported("hf", config)
     n = n_processors
     w0 = check_initial_weight(initial_weight)
-    # The batch kernel validates n and the draws; the trial count is its row count.
-    weights = hf_final_weights_batch(w0, n, alpha_draws, n_threads=n_threads)
-    n_trials = weights.shape[0]
+    if isinstance(alpha_draws, _native.SeededRows):
+        if n < 1:
+            raise ValueError(f"n_processors must be >= 1, got {n}")
+        rows, _ = _trial_rows(alpha_draws, n, config)
+        maxw = _seeded_result(_native.seeded_ratios_native(
+            "hf", rows.root, rows.start, rows.n_trials, n, rows.low,
+            rows.high, n_threads=n_threads, w0=w0,
+        ))
+    else:
+        # The batch kernel validates n and the draws.
+        maxw = hf_final_weights_batch(
+            w0, n, alpha_draws, n_threads=n_threads
+        ).max(axis=1)
+    n_trials = maxw.shape[0]
     topo = config.topology(n) if config.topology else None
 
     # Timing is trial-independent: one scalar chain, replayed in the
@@ -229,7 +274,7 @@ def fastpath_hf(
     # sum(work_time) = 0 + work_p1 + 0 + ... (adding 0.0 is exact)
     util = work_p1 / (n * makespan) if makespan > 0 else 0.0
 
-    ratio = weights.max(axis=1) / (w0 / n)
+    ratio = maxw / (w0 / n)
     return FastpathResult(
         algorithm="hf",
         n_processors=n,
@@ -253,7 +298,7 @@ def fastpath_hf(
 def _ba_like_result(
     algorithm: str,
     n: int,
-    draws: np.ndarray,
+    alpha_draws,
     config: MachineConfig,
     *,
     threshold: Optional[float],
@@ -262,7 +307,7 @@ def _ba_like_result(
 ) -> FastpathResult:
     if n < 1:
         raise ValueError(f"n_processors must be >= 1, got {n}")
-    n_trials = draws.shape[0]
+    draws, n_trials = _trial_rows(alpha_draws, n, config)
     w0 = check_initial_weight(initial_weight)
     # The C kernel covers the complete network; topologies (and runs
     # without a compiler) take the batch module's timed level-order walk.
@@ -270,6 +315,8 @@ def _ba_like_result(
         draws, n, w0=w0, threshold=threshold, t_bisect=config.t_bisect,
         t_send=config.t_send, n_threads=n_threads,
     )
+    if isinstance(draws, _native.SeededRows):
+        native = _seeded_result(native)
     if native:
         (makespan, maxw), hops_acc = native, _const_int(n_trials, n - 1)
     else:
@@ -307,9 +354,8 @@ def fastpath_ba(
     """BA: communication-free recursion, both children start after the send."""
     config = config or MachineConfig()
     _require_supported("ba", config)
-    draws = _as_draw_matrix(alpha_draws, max(0, n_processors - 1))
     return _ba_like_result(
-        "ba", n_processors, draws, config,
+        "ba", n_processors, alpha_draws, config,
         threshold=None, initial_weight=initial_weight, n_threads=n_threads,
     )
 
@@ -328,9 +374,8 @@ def fastpath_bahf(
     config = config or MachineConfig()
     _require_supported("bahf", config)
     alpha = check_alpha(alpha)
-    draws = _as_draw_matrix(alpha_draws, max(0, n_processors - 1))
     return _ba_like_result(
-        "bahf", n_processors, draws, config,
+        "bahf", n_processors, alpha_draws, config,
         threshold=bahf_threshold(alpha, lam), initial_weight=initial_weight,
         n_threads=n_threads,
     )
@@ -517,8 +562,9 @@ def fastpath_phf(
     """PHF with the idealised central phase 1 (Figure 2).
 
     On the complete network the compiled metrics kernel evaluates every
-    trial; on a topology, or when no compiler is available, the per-trial
-    event replay :func:`_phf_replay` does, with bit-identical results.
+    trial (from a draw matrix or seeded rows); on a topology, or when no
+    compiler is available, the per-trial event replay :func:`_phf_replay`
+    does, with bit-identical results.
     ``n_threads`` shards the compiled kernel's trials across in-kernel
     threads (bit-identical for every count); the replay ignores it.
     """
@@ -530,8 +576,7 @@ def fastpath_phf(
     n = n_processors
     if n < 1:
         raise ValueError(f"n_processors must be >= 1, got {n}")
-    draws = _as_draw_matrix(alpha_draws, max(0, n - 1))
-    n_trials = draws.shape[0]
+    draws, n_trials = _trial_rows(alpha_draws, n, config)
     w0 = check_initial_weight(initial_weight)
     threshold = phf_threshold(w0, alpha, n)
     native = config.topology is None and _native.phf_metrics_native(
@@ -547,6 +592,8 @@ def fastpath_phf(
         collective=config.collective_cost(n),
         n_threads=n_threads,
     )
+    if isinstance(draws, _native.SeededRows):
+        native = _seeded_result(native)
     if not native:
         return _phf_replay(n, draws, config, alpha=alpha, keep=keep, w0=w0)
     makespan, coll_time, coll_n, ctrl, maxw, status = native
@@ -587,7 +634,7 @@ def fastpath_counters(
     initial_weight: float = 1.0,
     n_threads: Optional[int] = None,
 ) -> FastpathResult:
-    """Batched machine metrics for one algorithm over a draw matrix.
+    """Batched machine metrics for one algorithm over a draw matrix or seeded rows.
 
     ``alpha`` is required for ``phf`` and ``bahf``.  Raises
     :class:`FastpathUnsupported` for cells only the DES can evaluate

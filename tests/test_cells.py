@@ -184,12 +184,14 @@ def test_pooled_runs_sample_in_workers_only(name, pool, monkeypatch):
         return sample
 
     # Rows are sampled by draw_rows, or inside the kernel for the
-    # seeded path (UniformAlpha sweeps with the native kernels); the
-    # fault study draws lazily from one SyntheticProblem per trial.
-    draw_rows = counted(stochastic.draw_rows)
-    for module in (stochastic, runner, runtime_study, fault_study):
-        if hasattr(module, "draw_rows"):
-            monkeypatch.setattr(module, "draw_rows", draw_rows)
+    # seeded path (UniformAlpha sweeps and complete-network studies with
+    # the native kernels, which ask seeded_rows first); the fault study
+    # draws lazily from one SyntheticProblem per trial.
+    for entry in ("draw_rows", "seeded_rows"):
+        spy = counted(getattr(stochastic, entry))
+        for module in (stochastic, runner, runtime_study, fault_study):
+            if hasattr(module, entry):
+                monkeypatch.setattr(module, entry, spy)
     monkeypatch.setattr(
         _native, "seeded_ratios_native", counted(_native.seeded_ratios_native))
     monkeypatch.setattr(

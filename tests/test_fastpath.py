@@ -363,6 +363,41 @@ def assert_native_off_identical(algorithm, n, monkeypatch):
             ), f"{ctx}: {name} differs between native and NumPy engines"
 
 
+# Phase-2 bands at scale: truncated, tied rounds that N_VALUES (<= 127)
+# mostly stays below.  The C kernel orders each band by a stable radix
+# pass in processor order; the replay sorts by (-weight, processor).
+BAND_SAMPLERS = [
+    FixedAlpha(0.1),
+    FixedAlpha(0.3),
+    FixedAlpha(0.5),
+    DiscreteAlpha((0.25, 0.5)),
+    UniformAlpha(0.1, 0.5),
+]
+
+
+@pytest.mark.skipif(not _native.native_available(), reason="native kernels unavailable")
+@pytest.mark.parametrize("keep", ["heavy", "light"])
+@pytest.mark.parametrize("sampler", BAND_SAMPLERS, ids=lambda s: s.describe())
+@pytest.mark.parametrize("n", [71, 110, 152, 257, 1000, 4096])
+def test_phf_band_order_at_scale(n, sampler, keep, monkeypatch):
+    draws = draw_matrix(sampler, "phf", n, n_trials=3, seed=70_000 + n)
+    native = [
+        fastpath_phf(n, draws, alpha=sampler.alpha, keep=keep, n_threads=t)
+        for t in (1, 3)
+    ]
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    replay = fastpath_phf(n, draws, alpha=sampler.alpha, keep=keep)
+    for res in native:
+        for name in RESULT_FIELDS:
+            assert getattr(res, name).tobytes() == getattr(replay, name).tobytes(), (
+                f"phf N={n} {sampler.describe()} keep={keep}: {name} differs "
+                "between the C kernel and the replay"
+            )
+    monkeypatch.delenv("REPRO_NO_NATIVE")
+    if n <= 257:
+        assert_cell_equivalent("phf", n, draws, alpha=sampler.alpha, keep=keep)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
 def test_phase1_exhausted_same_error_native_on_and_off(alpha, monkeypatch):
     """Draws far below the declared alpha exhaust phase 1's processors:

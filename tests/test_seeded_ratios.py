@@ -23,7 +23,7 @@ from repro.core.batch import (
     bahf_final_weights_batch,
     hf_final_weights_batch,
 )
-from repro.experiments import stochastic
+from repro.experiments import runtime_study, stochastic
 from repro.experiments.checkpoint import execute_chunks
 from repro.problems.samplers import (
     AlphaSampler,
@@ -32,6 +32,8 @@ from repro.problems.samplers import (
     FixedAlpha,
     UniformAlpha,
 )
+from repro.simulator.machine import MachineConfig
+from repro.simulator.topology import RingTopology
 
 needs_native = pytest.mark.skipif(
     not _native.native_available(), reason="native kernels unavailable"
@@ -238,3 +240,102 @@ def test_pool_workers_inherit_the_loaded_library(monkeypatch):
     )
     assert all(attempted for attempted, _ in out)
     assert {pid for _, pid in out} - {os.getpid()}
+
+
+# ----------------------------------------------------------------------
+# The runtime study's fastpath reads the same seeded rows
+# ----------------------------------------------------------------------
+
+
+def _study_with_rows(algorithm, n, sampler, *, start, n_threads, config=None):
+    """The fastpath study fed the rows draw_rows builds for the same trials."""
+    key = stochastic.normalize_algorithm(algorithm)
+    draws = stochastic.draw_rows(
+        key, n, sampler, seed=7, start=start, stop=start + 6,
+        n_draws=max(1, n - 1),
+    )
+    return runtime_study.study_trial_metrics(
+        algorithm, n, sampler, n_trials=6, seed=7, start=start,
+        engine="fastpath", draws=draws, n_threads=n_threads, config=config,
+    )
+
+
+def _refuse_draw_rows(*args, **kwargs):
+    raise AssertionError("the seeded path must not sample numpy rows")
+
+
+def _study(algorithm, n, sampler, *, start, n_threads, config=None):
+    return runtime_study.study_trial_metrics(
+        algorithm, n, sampler, n_trials=6, seed=7, start=start,
+        engine="fastpath", n_threads=n_threads, config=config,
+    )
+
+
+def _force_self_check_mismatch(monkeypatch):
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_load_attempted", False)
+    monkeypatch.setattr(_native, "_seeded_ok", False)
+    monkeypatch.setattr(
+        _native, "_reference_row", lambda seed, low, high, k: np.full(k, low))
+    assert _native._load() is not None and not _native._seeded_ok
+
+
+@needs_native
+@pytest.mark.parametrize("n_threads", [1, 3])
+@pytest.mark.parametrize("start", [0, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 4097])
+@pytest.mark.parametrize("sampler", SAMPLERS, ids=["uniform", "fixed"])
+@pytest.mark.parametrize("algorithm", ["hf", "phf", "ba", "bahf"])
+def test_seeded_study_equals_row_study(algorithm, sampler, n, start, n_threads,
+                                       monkeypatch):
+    ref = _study_with_rows(algorithm, n, sampler, start=start,
+                           n_threads=n_threads)
+    with monkeypatch.context() as m:
+        m.setattr(runtime_study, "draw_rows", _refuse_draw_rows)
+        got = _study(algorithm, n, sampler, start=start, n_threads=n_threads)
+    assert got.tobytes() == ref.tobytes()
+    with monkeypatch.context() as m:
+        m.setenv("REPRO_NO_NATIVE", "1")
+        got = _study(algorithm, n, sampler, start=start, n_threads=n_threads)
+    assert got.tobytes() == ref.tobytes()
+    _force_self_check_mismatch(monkeypatch)
+    got = _study(algorithm, n, sampler, start=start, n_threads=n_threads)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sampler, config",
+    [
+        (UniformAlpha(0.1, 0.5), MachineConfig(topology=RingTopology)),
+        (FixedAlpha(0.3), MachineConfig(topology=RingTopology)),
+        (ReversedUniform(0.1, 0.5), None),
+        (BetaAlpha(2.0, 3.0, low=0.1, high=0.5), None),
+        (DiscreteAlpha(values=(0.1, 0.4)), None),
+    ],
+    ids=["ring-uniform", "ring-fixed", "uniform-subclass", "beta", "discrete"],
+)
+@pytest.mark.parametrize("algorithm", ["hf", "phf", "ba", "bahf"])
+def test_other_study_cells_call_draw_rows(algorithm, sampler, config,
+                                          monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["stop"] - kwargs["start"])
+        return stochastic.draw_rows(*args, **kwargs)
+
+    monkeypatch.setattr(runtime_study, "draw_rows", spy)
+    got = _study(algorithm, 33, sampler, start=2, n_threads=1, config=config)
+    assert calls == [6]
+    ref = _study_with_rows(algorithm, 33, sampler, start=2, n_threads=1,
+                           config=config)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["hf", "phf", "ba", "bahf"])
+def test_seeded_rows_refused_on_a_topology(algorithm):
+    from repro.simulator.fastpath import FastpathUnsupported, fastpath_counters
+
+    rows = _native.SeededRows(root=1, start=0, n_trials=2, low=0.1, high=0.5)
+    with pytest.raises(FastpathUnsupported, match="complete-network"):
+        fastpath_counters(algorithm, 16, rows, alpha=0.1,
+                          config=MachineConfig(topology=RingTopology))

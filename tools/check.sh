@@ -53,6 +53,35 @@ if [ "$des_out" != "$fast_out" ] || [ "$des_out" != "$numpy_out" ]; then
     exit 1
 fi
 
+# The renders above agree only to one decimal and only up to N = 32.
+# Hash the full-precision per-trial study matrices at N = 1024 and 4096:
+# the kernel-sampled rows and the radix-ordered PHF band against
+# REPRO_NO_NATIVE (draw_rows, the PHF replay and the NumPy walks).
+study_hash() {
+    python - <<'EOF'
+import hashlib
+
+from repro.experiments.runtime_study import study_trial_metrics
+from repro.problems.samplers import FixedAlpha, UniformAlpha
+
+digest = hashlib.sha256()
+for sampler in (UniformAlpha(0.1, 0.5), FixedAlpha(0.3), FixedAlpha(0.5)):
+    for algorithm in ("hf", "phf", "ba", "bahf"):
+        for n in (1024, 4096):
+            for start in (0, 3):
+                digest.update(study_trial_metrics(
+                    algorithm, n, sampler, n_trials=4, seed=11, start=start,
+                    engine="fastpath").tobytes())
+print(digest.hexdigest())
+EOF
+}
+native_hash=$(study_hash)
+numpy_hash=$(REPRO_NO_NATIVE=1 study_hash)
+if [ "$native_hash" != "$numpy_hash" ]; then
+    echo "engine mismatch: study_trial_metrics matrices differ between the native kernels and REPRO_NO_NATIVE=1" >&2
+    exit 1
+fi
+
 echo "== smoke: figure5, table1, distributions, native vs REPRO_NO_NATIVE =="
 # With 64 trials per cell up to N=2048, the no-compiler HF cells fall on
 # both sides of batch.numpy_hf_method (the argmax frontier up to N=512,
